@@ -21,6 +21,7 @@ from .core import (
 )
 from .errors import (
     DimensionError,
+    InvariantError,
     SearchBudgetError,
     SpringerRcaError,
     TruncationError,

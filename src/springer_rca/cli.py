@@ -1,7 +1,8 @@
 """Command-line front end: computations and verification suites as reports.
 
-Exit codes: 0 success (all checks pass), 2 usage error, 3 unsupported
-parameters, 4 under-truncation (the minimal sufficient degree is printed).
+Exit codes: 0 success (all checks pass), 1 a suite failed, 2 usage error,
+3 unsupported parameters, 4 under-truncation (the minimal sufficient degree
+is printed), 5 an internal invariant was violated.
 Output is deterministic for a given configuration regardless of the
 parallelism degree; rationals are emitted in lowest terms as strings.
 """
@@ -19,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from . import __version__
 from .core import Params, build_graded_basis, enumerate_fixed_points
 from .errors import (
+    InvariantError,
     SearchBudgetError,
     SpringerRcaError,
     UnderTruncationError,
@@ -40,6 +42,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_UNDER_TRUNCATION = 4
+EXIT_INVARIANT = 5
 
 OPERATOR_NAMES = ("X", "Y", "E", "F", "H", "Er", "Fr", "monopole", "commutator-XY")
 DRESS_NAMES = ("1", "e1", "e2")
@@ -356,6 +359,9 @@ def main(argv=None):
     except UnsupportedParametersError as exc:
         print(f"error: unsupported parameters: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except InvariantError as exc:
+        print(f"error: invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -31,3 +31,12 @@ class TruncationError(SpringerRcaError, ValueError):
 
 class SearchBudgetError(SpringerRcaError, ValueError):
     """A brute-force search exceeded its configured budget."""
+
+
+class InvariantError(SpringerRcaError):
+    """An internal check behind a certificate failed.
+
+    Raised instead of ``assert`` so that the check survives ``python -O``.
+    Not a ``ValueError``: it signals a defect in the computation, never bad
+    input.
+    """

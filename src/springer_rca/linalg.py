@@ -1,9 +1,10 @@
 """Sparse exact-rational matrices and nullspaces.
 
-Matrices are dictionaries of nonzero entries over ``fractions.Fraction``;
-blocks in this problem stay small (tens of rows), so elimination works on a
-dense copy.  All results are exact: kernels found here are certificates, not
-approximations.
+Matrices are dictionaries of nonzero entries over ``fractions.Fraction``.
+The blocks in this problem are very sparse (a few nonzeros per row), so
+elimination keeps every row as a sparse dict and touches only the rows that
+hold the current pivot column.  All results are exact: kernels found here
+are certificates, not approximations.
 """
 
 from __future__ import annotations
@@ -143,30 +144,72 @@ class RatMat:
         return out
 
     def rref(self):
-        """Reduced row echelon form; returns (dense rows, pivot column list)."""
-        rows = self.dense()
+        """Reduced row echelon form; returns (rows, pivot column list).
+
+        ``rows[r]`` is the reduced row of pivot column ``pivots[r]`` as a
+        sparse ``{column: Fraction}`` dict with a 1 at the pivot.  Rows stay
+        sparse throughout: the columns are walked left to right, each pivot is
+        the shortest remaining row holding that column, and only the rows that
+        hold it (found through a column-to-rows index) are eliminated.  A
+        right-to-left back-substitution then clears the entries above each
+        pivot.  The reduced form over Q is unique, so the result does not
+        depend on which rows were picked as pivots.
+        """
+        rows = {}
+        # column -> rows not yet used as a pivot that hold a nonzero there
+        holders = {}
+        for (i, j), value in self.entries.items():
+            rows.setdefault(i, {})[j] = value
+            holders.setdefault(j, set()).add(i)
+
         pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot_row = None
-            for i in range(r, self.nrows):
-                if rows[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
+        reduced = []
+        for c in sorted(holders):
+            live = holders.pop(c)
+            if not live:
                 continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = 1 / rows[r][c]
-            rows[r] = [v * inv for v in rows[r]]
-            for i in range(self.nrows):
-                if i != r and rows[i][c] != 0:
-                    factor = rows[i][c]
-                    rows[i] = [vi - factor * vr for vi, vr in zip(rows[i], rows[r])]
+            # earlier columns are cleared from every live row, so c leads each
+            p = min(live, key=lambda i: (len(rows[i]), i))
+            live.discard(p)
+            prow = rows.pop(p)
+            inv = 1 / prow.pop(c)
+            prow = {j: v * inv for j, v in prow.items()}
+            for j in prow:
+                holders[j].discard(p)
+            for i in live:
+                row = rows[i]
+                factor = row.pop(c)
+                for j, v in prow.items():
+                    old = row.get(j)
+                    if old is None:
+                        row[j] = -factor * v
+                        holders[j].add(i)
+                    else:
+                        new = old - factor * v
+                        if new:
+                            row[j] = new
+                        else:
+                            del row[j]
+                            holders[j].discard(i)
             pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return rows, pivots
+            reduced.append(prow)
+
+        # back-substitution: no reduced row holds another pivot column, so
+        # each pivot entry above the diagonal is cleared independently
+        pivot_index = {c: r for r, c in enumerate(pivots)}
+        for r in range(len(pivots) - 1, -1, -1):
+            row = reduced[r]
+            for pc in [j for j in row if j in pivot_index]:
+                factor = row.pop(pc)
+                for j, v in reduced[pivot_index[pc]].items():
+                    new = row.get(j, 0) - factor * v
+                    if new:
+                        row[j] = new
+                    else:
+                        del row[j]
+        for row, c in zip(reduced, pivots):
+            row[c] = Fraction(1)
+        return reduced, pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -179,12 +222,15 @@ class RatMat:
         """
         rows, pivots = self.rref()
         pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            vec = [Fraction(0)] * self.ncols
-            vec[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                vec[pc] = -rows[r][fc]
-            basis.append(vec)
-        return basis
+        basis = {}
+        for fc in range(self.ncols):
+            if fc not in pivot_set:
+                vec = [Fraction(0)] * self.ncols
+                vec[fc] = Fraction(1)
+                basis[fc] = vec
+        # every non-pivot entry of a reduced row sits in a free column
+        for row, pc in zip(rows, pivots):
+            for fc, value in row.items():
+                if fc != pc:
+                    basis[fc][pc] = -value
+        return list(basis.values())

@@ -20,6 +20,7 @@ from .core import (
 )
 from .errors import (
     DimensionError,
+    InvariantError,
     UnderTruncationError,
     UnsupportedParametersError,
 )
@@ -287,10 +288,17 @@ def check_sl2_and_casimir(params, max_degree):
 def _verified_nullspace(blocks, dim):
     """Nullspace of stacked blocks, re-verified by multiplying back."""
     stacked = RatMat.vstack(blocks) if len(blocks) > 1 else blocks[0]
+    if stacked.ncols != dim:
+        raise InvariantError(
+            f"stacked blocks have {stacked.ncols} columns, basis has {dim}"
+        )
     vectors = stacked.nullspace()
-    for vec in vectors:
-        assert all(v == 0 for v in stacked.matvec(vec))
-    assert stacked.ncols == dim
+    for index, vec in enumerate(vectors):
+        if any(v != 0 for v in stacked.matvec(vec)):
+            raise InvariantError(
+                f"kernel vector {index} of a {stacked.nrows}x{stacked.ncols} "
+                "block is not annihilated by it"
+            )
     return vectors
 
 

@@ -1,8 +1,10 @@
 """CLI contract: commands, exit codes, determinism, config handling."""
 
 import json
+from fractions import Fraction
 
 from springer_rca.cli import main
+from springer_rca.linalg import RatMat
 
 
 def run_cli(capsys, *argv):
@@ -236,3 +238,16 @@ def test_verify_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "suite,status,claim"
     assert lines[1].startswith("weyl,pass,")
+
+
+def test_verify_invariant_violation_exits_5(capsys, monkeypatch):
+    monkeypatch.setattr(
+        RatMat, "nullspace", lambda self: [[Fraction(1)] * self.ncols]
+    )
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "singular", "--n", "2", "--k", "3",
+        "--max-degree", "4",
+    )
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: invariant violated: ")

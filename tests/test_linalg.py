@@ -3,9 +3,57 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from springer_rca import DimensionError
+from springer_rca import DimensionError, Params, build_graded_basis
 from springer_rca.linalg import RatMat
+from springer_rca.operators import operator_f, operator_y
+from springer_rca.verify import kernel_y, singular_vectors, stabilization_degree
+
+
+def reference_rref(m):
+    """Dense Gauss-Jordan elimination: the reference the sparse route matches.
+
+    Returns the dense reduced rows (zero rows last) and the pivot columns.
+    """
+    rows = m.dense()
+    pivots = []
+    r = 0
+    for c in range(m.ncols):
+        pivot_row = None
+        for i in range(r, m.nrows):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(m.nrows):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [vi - factor * vr for vi, vr in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.nrows:
+            break
+    return rows, pivots
+
+
+def reference_nullspace(m):
+    rows, pivots = reference_rref(m)
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(m.ncols):
+        if fc in pivot_set:
+            continue
+        vec = [Fraction(0)] * m.ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        basis.append(vec)
+    return basis
 
 
 def mat(rows):
@@ -96,3 +144,77 @@ def test_vstack():
     assert stacked.dense() == mat([[1, 2], [3, 4], [5, 6]]).dense()
     with pytest.raises(DimensionError):
         RatMat.vstack([a, mat([[1]])])
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Small sparse rational matrices, often rank-deficient.
+
+    Covers empty shapes, zero rows and columns, repeated rows and rows that
+    are combinations of earlier ones.
+    """
+    nrows = draw(st.integers(0, 8))
+    ncols = draw(st.integers(0, 8))
+    values = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+    if nrows and ncols:
+        cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+        for (i, j), v in draw(st.dictionaries(cells, values, max_size=2 * ncols)).items():
+            rows[i][j] = v
+    for i in range(1, nrows):
+        kind = draw(st.sampled_from(["keep", "keep", "repeat", "combine"]))
+        if kind == "repeat":
+            rows[i] = list(rows[draw(st.integers(0, i - 1))])
+        elif kind == "combine":
+            a, b = draw(values), draw(values)
+            j, l = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[l])]
+    out = RatMat(nrows, ncols)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            out[i, j] = v
+    return out
+
+
+@settings(deadline=None)
+@given(sparse_matrices())
+def test_sparse_rref_matches_dense_reference(m):
+    ref_rows, ref_pivots = reference_rref(m)
+    rows, pivots = m.rref()
+    assert pivots == ref_pivots
+    assert len(rows) == len(pivots)
+    for row, ref_row in zip(rows, ref_rows):
+        assert row == {j: v for j, v in enumerate(ref_row) if v != 0}
+    assert m.rank() == len(ref_pivots)
+    basis = m.nullspace()
+    assert basis == reference_nullspace(m)
+    for vec in basis:
+        assert all(v == 0 for v in m.matvec(vec))
+
+
+def _reference_kernels(blocks_at, basis):
+    vectors = []
+    for d in basis.degrees():
+        if basis.dim(d):
+            stacked = RatMat.vstack(blocks_at(d))
+            vectors.extend((d, tuple(vec)) for vec in reference_nullspace(stacked))
+    return vectors
+
+
+@pytest.mark.parametrize("n,k,D", [(3, 4, 12), (4, 5, 14)])
+def test_singular_vector_kernels_match_reference(n, k, D):
+    params = Params(n, k)
+    basis = build_graded_basis(params, D)
+    lowering = [operator_f(basis, r) for r in range(1, n + 1)]
+    expected = _reference_kernels(lambda d: [op.block(d) for op in lowering], basis)
+    assert singular_vectors(params, D).vectors == expected
+
+
+@pytest.mark.parametrize("n,k", [(2, 7), (3, 4)])
+def test_kernel_y_kernels_match_reference(n, k):
+    params = Params(n, k)
+    D = stabilization_degree(params)
+    basis = build_graded_basis(params, D)
+    y = operator_y(basis)
+    expected = _reference_kernels(lambda d: [y.block(d)], basis)
+    assert kernel_y(params, D).vectors == expected

@@ -1,10 +1,14 @@
 """Verification suites: relation checks, kernels, characters, stabilizer."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from springer_rca import (
+    InvariantError,
     Params,
     UnderTruncationError,
     UnsupportedParametersError,
@@ -16,8 +20,10 @@ from springer_rca import (
     operator_y,
     singular_vectors,
 )
+from springer_rca.linalg import RatMat
 from springer_rca.operators import DressPolynomial, operator_f
 from springer_rca.verify import (
+    _verified_nullspace,
     applicable_suites,
     check_character_identity,
     check_kernel_y,
@@ -207,3 +213,39 @@ def test_report_invariants():
         VerificationReport(
             claim="x", n=2, k=3, max_degree=1, status="maybe", details={}
         )
+
+
+def _wrong_nullspace(self):
+    return [[Fraction(1)] * self.ncols]
+
+
+def test_verified_nullspace_rejects_wrong_kernel(monkeypatch):
+    block = RatMat.identity(2)
+    monkeypatch.setattr(RatMat, "nullspace", _wrong_nullspace)
+    with pytest.raises(InvariantError, match="not annihilated"):
+        _verified_nullspace([block], 2)
+    with pytest.raises(InvariantError, match="columns"):
+        _verified_nullspace([block], 3)
+
+
+def test_verified_nullspace_check_survives_optimize_flag():
+    code = (
+        "from fractions import Fraction\n"
+        "from springer_rca import InvariantError\n"
+        "from springer_rca.linalg import RatMat\n"
+        "from springer_rca.verify import _verified_nullspace\n"
+        "RatMat.nullspace = lambda self: [[Fraction(1)] * self.ncols]\n"
+        "try:\n"
+        "    _verified_nullspace([RatMat.identity(2)], 2)\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "raised"
