@@ -36,7 +36,7 @@ from .operators import (
     operator_x,
     operator_y,
 )
-from .verify import SUITE_NAMES, applicable_suites, run_suite
+from .verify import SUITES, applicable_suites, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -101,7 +101,7 @@ def _build_parser():
     p_verify = sub.add_parser("verify", help="run verification suites")
     common(p_verify)
     p_verify.add_argument(
-        "--suite", choices=SUITE_NAMES + ("all",), default=None, help="suite name"
+        "--suite", choices=(*SUITES, "all"), default=None, help="suite name"
     )
     return parser
 
@@ -123,6 +123,13 @@ def _load_config(path):
 _INT_KEYS = {"n", "k", "max_degree", "threads", "r"}
 
 
+def _integer(value, what):
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _merge_config(args):
     if not args.config:
         return args
@@ -131,7 +138,9 @@ def _merge_config(args):
         if not hasattr(args, key):
             raise UsageError(f"unknown config key {key!r}")
         if getattr(args, key) is None:
-            setattr(args, key, int(value) if key in _INT_KEYS else value)
+            if key in _INT_KEYS:
+                value = _integer(value, f"config key {key!r}")
+            setattr(args, key, value)
     return args
 
 
@@ -157,7 +166,7 @@ def _threads(args):
         raise UsageError("--threads must be positive")
     cap = os.environ.get(THREADS_ENV)
     if cap is not None:
-        requested = min(requested, max(1, int(cap)))
+        requested = min(requested, max(1, _integer(cap, f"${THREADS_ENV}")))
     return requested
 
 
@@ -192,8 +201,6 @@ def _payload(args, command, results):
 def cmd_fixed_points(args):
     params = _params(args)
     _require(args, "max_degree")
-    if args.max_degree < 0:
-        raise UsageError("--max-degree must be nonnegative")
     strata = [
         enumerate_fixed_points(params, d) for d in range(args.max_degree + 1)
     ]
@@ -234,11 +241,7 @@ def _build_operator(args, basis):
     if name == "Y":
         return operator_y(basis)
     if name in ("E", "F", "H"):
-        if params.n != 2 or params.k % 2 == 0:
-            raise UnsupportedParametersError(
-                f"operator {name} requires n = 2 and odd k, got "
-                f"({params.n}, {params.k})"
-            )
+        params.require_rank_two()
         if name == "E":
             return operator_e(basis, 2)
         if name == "F":
@@ -303,7 +306,7 @@ def cmd_verify(args):
         _require(args, "max_degree")
     if args.suite == "all":
         names = applicable_suites(params)
-        skipped = [s for s in SUITE_NAMES if s not in names]
+        skipped = [s for s in SUITES if s not in names]
     else:
         names = [args.suite]
         skipped = []
@@ -340,6 +343,8 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         args = _merge_config(args)
+        if args.max_degree is not None and args.max_degree < 0:
+            raise UsageError("--max-degree must be nonnegative")
         if args.command == "fixed-points":
             return cmd_fixed_points(args)
         if args.command == "operator":

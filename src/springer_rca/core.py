@@ -30,8 +30,6 @@ class Params:
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
             raise ValueError(f"n and k must be positive, got ({self.n}, {self.k})")
-        # n*m + k*hbar = 0 holds by construction
-        assert self.n * self.m + self.k * self.hbar == 0
 
     @property
     def m(self) -> Fraction:
@@ -50,6 +48,17 @@ class Params:
             raise UnsupportedParametersError(
                 f"(n, k) = ({self.n}, {self.k}) is not coprime; torus fixed "
                 "points are not isolated, so this operation is unsupported"
+            )
+
+    @property
+    def rank_two(self) -> bool:
+        """Whether the rank-two closed forms and sl2 triple exist: n = 2, odd k."""
+        return self.n == 2 and self.k % 2 == 1
+
+    def require_rank_two(self):
+        if not self.rank_two:
+            raise UnsupportedParametersError(
+                f"this operation requires n = 2 and odd k, got ({self.n}, {self.k})"
             )
 
 

@@ -17,7 +17,7 @@ reproduces the closed rank-two formulas; the equivalent source-side route
 goes through ``excess_factor`` (the numerator above, evaluated at the target,
 equals the excess factor of the source point).  Whenever the target leaves
 the admissible region the numerator vanishes identically, so the operator
-never maps outside the moduli; this is asserted, not assumed.
+never maps outside the moduli; this is checked, not assumed.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import combinations
 from math import comb
 
 from .core import is_admissible, phi_weights
-from .errors import DimensionError, TruncationError
+from .errors import DimensionError, InvariantError, TruncationError
 from .linalg import RatMat
 
 
@@ -520,7 +520,10 @@ def minuscule_monopole(basis, coweight, dress=None):
                 if is_admissible(target, params):
                     denominator = sca_denominator(lam, phis)
                     # nonzero by weight separation, which needs gcd(n,k)=1
-                    assert denominator != 0
+                    if not denominator:
+                        raise InvariantError(
+                            f"zero denominator for {label} -> {target}"
+                        )
                     value = (
                         dress.evaluate(tuple(phis[rep[i]] for i in range(n)))
                         * numerator
@@ -528,9 +531,12 @@ def minuscule_monopole(basis, coweight, dress=None):
                     )
                     if value != 0:
                         block[basis.index(target_degree, target), j] = value
-                else:
+                elif numerator:
                     # boundary vanishing: leaving the moduli kills the term
-                    assert numerator == 0, (label, lam, numerator)
+                    raise InvariantError(
+                        f"term {label} -> {target} leaves the moduli with "
+                        f"nonzero numerator {numerator}"
+                    )
         blocks[d] = block
     return GradedOperator(basis, shift, blocks)
 

@@ -6,9 +6,9 @@ coefficient list indexed by the power of q, with trailing zeros trimmed.
 
 from __future__ import annotations
 
-from math import comb, gcd
+from math import comb
 
-from .errors import UnsupportedParametersError
+from .errors import InvariantError
 
 
 class QPolynomial:
@@ -35,9 +35,6 @@ class QPolynomial:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return 0
-
-    def truncated(self, max_degree):
-        return QPolynomial(self.coeffs[: max_degree + 1])
 
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
@@ -116,14 +113,6 @@ def qbinomial(a, b):
     return row[b]
 
 
-def require_coprime(n, k):
-    if gcd(n, k) != 1:
-        raise UnsupportedParametersError(
-            f"(n, k) = ({n}, {k}) is not coprime; fixed points are not "
-            "isolated and these counts/operators are not defined"
-        )
-
-
 def euler_series(params, max_degree):
     """Graded Euler characteristic of the Hilbert scheme union, truncated.
 
@@ -131,8 +120,8 @@ def euler_series(params, max_degree):
     [n-1+k choose n-1]_q / (1 - q^n); the truncation keeps powers up to
     ``max_degree``.
     """
+    params.require_coprime()
     n, k = params.n, params.k
-    require_coprime(n, k)
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     numerator = qbinomial(n - 1 + k, n - 1)
@@ -146,10 +135,14 @@ def euler_series(params, max_degree):
 
 def compactified_jacobian_dim(params):
     """Total cohomology dimension of the compactified Jacobian: C(n+k-1, n-1)/n."""
+    params.require_coprime()
     n, k = params.n, params.k
-    require_coprime(n, k)
     total = comb(n + k - 1, n - 1)
-    assert total % n == 0, "binomial C(n+k-1,n-1) must be divisible by n for coprime (n,k)"
+    if total % n:
+        raise InvariantError(
+            f"C(n+k-1, n-1) = {total} is not divisible by n = {n} for coprime "
+            f"(n, k) = ({n}, {k})"
+        )
     return total // n
 
 

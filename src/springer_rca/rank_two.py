@@ -20,16 +20,9 @@ from fractions import Fraction
 from math import comb
 
 from .core import is_admissible
-from .errors import UnsupportedParametersError
+from .errors import InvariantError
 from .linalg import RatMat
 from .operators import GradedOperator
-
-
-def _require_rank_two(params):
-    if params.n != 2 or params.k % 2 == 0:
-        raise UnsupportedParametersError(
-            f"closed forms exist for n = 2 and odd k, got ({params.n}, {params.k})"
-        )
 
 
 def _from_terms(basis, shift, term_fn):
@@ -49,15 +42,18 @@ def _from_terms(basis, shift, term_fn):
                 if is_admissible(target, params):
                     if coeff != 0:
                         block[basis.index(target_degree, target), j] = coeff
-                else:
-                    assert coeff == 0, (label, target, coeff)
+                elif coeff != 0:
+                    raise InvariantError(
+                        f"closed-form term {label} -> {target} leaves the moduli "
+                        f"with nonzero coefficient {coeff}"
+                    )
         blocks[d] = block
     return GradedOperator(basis, shift, blocks)
 
 
 def closed_form_x(basis):
     params = basis.params
-    _require_rank_two(params)
+    params.require_rank_two()
     h = Fraction(params.k, 2)
 
     def terms(label):
@@ -71,7 +67,7 @@ def closed_form_x(basis):
 
 def closed_form_y(basis):
     params = basis.params
-    _require_rank_two(params)
+    params.require_rank_two()
     h = Fraction(params.k, 2)
 
     def terms(label):
@@ -84,7 +80,7 @@ def closed_form_y(basis):
 
 
 def closed_form_e(basis):
-    _require_rank_two(basis.params)
+    basis.params.require_rank_two()
 
     def terms(label):
         a1, a2 = label
@@ -95,7 +91,7 @@ def closed_form_e(basis):
 
 def closed_form_f(basis):
     params = basis.params
-    _require_rank_two(params)
+    params.require_rank_two()
     h = Fraction(params.k, 2)
 
     def terms(label):
@@ -107,7 +103,7 @@ def closed_form_f(basis):
 
 def closed_form_h(basis):
     params = basis.params
-    _require_rank_two(params)
+    params.require_rank_two()
     h = Fraction(params.k, 2)
 
     def terms(label):

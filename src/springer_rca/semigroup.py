@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import SearchBudgetError, UnsupportedParametersError
+from .errors import InvariantError, SearchBudgetError, UnsupportedParametersError
 
 DEFAULT_BUDGET = 24
 
@@ -126,7 +126,11 @@ def count_ideals(n, k, m, budget=DEFAULT_BUDGET):
     ideals = enumerate_gap_sets(n, k, m, budget=budget)
     semigroup = NumericalSemigroup(n, k)
     # every candidate re-verified against the definition of stability
-    assert all(ideal.is_stable(semigroup) for ideal in ideals)
+    for ideal in ideals:
+        if not ideal.is_stable(semigroup):
+            raise InvariantError(
+                f"gap set {sorted(ideal.gaps)} of <{n}, {k}> is not stable"
+            )
     return len(ideals)
 
 
@@ -150,12 +154,10 @@ def compare_with_fixed_points(params, max_degree, budget=DEFAULT_BUDGET):
         counts_points.append(b)
         if a != b and witness is None:
             witness = {"degree": d, "ideal_count": a, "fixed_point_count": b}
-    return VerificationReport(
-        claim="semigroup ideal counts match fixed-point counts",
-        n=params.n,
-        k=params.k,
-        max_degree=max_degree,
-        status="fail" if witness else "pass",
-        details={"ideal_counts": counts_ideals, "fixed_point_counts": counts_points},
-        witness=witness,
+    return VerificationReport.of(
+        "semigroup ideal counts match fixed-point counts",
+        params,
+        max_degree,
+        {"ideal_counts": counts_ideals, "fixed_point_counts": counts_points},
+        witness,
     )

@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from springer_rca.cli import main
 from springer_rca.linalg import RatMat
 
@@ -251,3 +253,40 @@ def test_verify_invariant_violation_exits_5(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert err.startswith("error: invariant violated: ")
+
+
+BAD_INPUTS = {
+    "verify negative degree": (
+        ["verify", "--suite", "weyl", "--n", "2", "--k", "3", "--max-degree", "-1"], None, {},
+    ),
+    "operator negative degree": (
+        ["operator", "--op", "X", "--n", "2", "--k", "3", "--max-degree", "-1"], None, {},
+    ),
+    "fixed-points negative degree": (
+        ["fixed-points", "--n", "2", "--k", "3", "--max-degree", "-1"], None, {},
+    ),
+    "oracle negative degree": (
+        ["verify", "--suite", "oracle", "--n", "2", "--k", "3", "--max-degree", "-2"], None, {},
+    ),
+    "non-integer config value": (
+        ["fixed-points", "--k", "3"], "n = two\nmax_degree = 3\n", {},
+    ),
+    "non-integer thread cap": (
+        ["verify", "--suite", "weyl", "--n", "2", "--k", "3", "--max-degree", "4"], None,
+        {"SPRINGER_RCA_THREADS": "x"},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,config,env", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2(argv, config, env, tmp_path, capsys, monkeypatch):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    if config:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        argv = argv + ["--config", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

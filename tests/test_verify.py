@@ -3,7 +3,9 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -19,9 +21,12 @@ from springer_rca import (
     operator_x,
     operator_y,
     singular_vectors,
+    stabilizer_cocharacter,
 )
+from springer_rca import operators
+from springer_rca.cli import main
 from springer_rca.linalg import RatMat
-from springer_rca.operators import DressPolynomial, operator_f
+from springer_rca.operators import DressPolynomial, minuscule_monopole, operator_f
 from springer_rca.verify import (
     _verified_nullspace,
     applicable_suites,
@@ -32,11 +37,57 @@ from springer_rca.verify import (
     check_sl2_and_casimir,
     check_weyl_relation,
     check_y_kernel_vectors,
+    VerificationReport,
     run_suite,
-    stabilizer_fixes,
+    stabilizer_witness,
     verify_stabilizer,
     weyl_report,
 )
+
+COPRIME_PAIRS = [(n, k) for n in range(1, 6) for k in range(1, 10) if gcd(n, k) == 1]
+
+
+def sympy_stabilizer_fixes(n, k, cocharacter):
+    """Reference: the symbolic conjugation the integer check replaces.
+
+    Conjugates the companion matrix of x^n - t^k by diag(nu^{d_a}), scales it
+    by nu^{flavor}, rotates t -> nu^{rot} t, and simplifies the difference
+    from the original datum, cyclic vector e_1 included.
+    """
+    sympy = pytest.importorskip("sympy")
+    nu = sympy.Symbol("nu", nonzero=True)
+    t = sympy.Symbol("t")
+
+    def companion(t_value):
+        gamma = sympy.zeros(n, n)
+        gamma[0, n - 1] = t_value**k
+        for i in range(n - 1):
+            gamma[i + 1, i] = 1
+        return gamma
+
+    g = sympy.diag(*[nu**d for d in cocharacter.diag_exponents])
+    transformed = (
+        nu**cocharacter.flavor_exponent
+        * g
+        * companion(nu**cocharacter.rot_exponent * t)
+        * g.inv()
+    )
+    if sympy.simplify(transformed - companion(t)) != sympy.zeros(n, n):
+        return False
+    e1 = sympy.Matrix([1] + [0] * (n - 1))
+    return sympy.simplify(g * e1 - e1) == sympy.zeros(n, 1)
+
+
+def _perturbed(cocharacter):
+    """One cocharacter off by one in each of diag (every slot), flavor, rot."""
+    d = cocharacter.diag_exponents
+    out = [
+        replace(cocharacter, diag_exponents=d[:a] + (d[a] + 1,) + d[a + 1 :])
+        for a in range(len(d))
+    ]
+    out.append(replace(cocharacter, flavor_exponent=cocharacter.flavor_exponent + 1))
+    out.append(replace(cocharacter, rot_exponent=cocharacter.rot_exponent + 1))
+    return out
 
 
 @pytest.mark.parametrize("n,k,D", [(2, 3, 10), (3, 4, 8), (1, 5, 6)])
@@ -169,10 +220,45 @@ def test_stabilizer(n, k):
     assert verify_stabilizer(Params(n, k)).passed
 
 
-def test_stabilizer_identity_element_always_fixes():
-    # nu = 1 is the trivial specialization, coprime or not
-    assert stabilizer_fixes(2, 4, 1)
-    assert stabilizer_fixes(3, 6, 1)
+@pytest.mark.parametrize("n,k", COPRIME_PAIRS)
+def test_stabilizer_matches_sympy_reference(n, k):
+    params = Params(n, k)
+    cocharacter = stabilizer_cocharacter(params)
+    report = verify_stabilizer(params)
+    assert sympy_stabilizer_fixes(n, k, cocharacter)
+    assert report.passed
+    assert report.details == {
+        "diag_exponents": list(cocharacter.diag_exponents),
+        "flavor_exponent": cocharacter.flavor_exponent,
+        "rot_exponent": cocharacter.rot_exponent,
+    }
+    for moved in _perturbed(cocharacter):
+        assert not sympy_stabilizer_fixes(n, k, moved), moved
+        assert stabilizer_witness(moved, k) is not None, moved
+
+
+@pytest.mark.parametrize("n,k", [(1, 4), (2, 3), (3, 5), (5, 9)])
+def test_stabilizer_perturbations_carry_witnesses(n, k):
+    cocharacter = stabilizer_cocharacter(Params(n, k))
+    flavor = replace(cocharacter, flavor_exponent=cocharacter.flavor_exponent - 1)
+    assert stabilizer_witness(flavor, k) == {
+        "entry": [0, n - 1], "t_power": k, "nu_exponent": -1,
+    }
+    rot = replace(cocharacter, rot_exponent=cocharacter.rot_exponent + 2)
+    assert stabilizer_witness(rot, k) == {
+        "entry": [0, n - 1], "t_power": k, "nu_exponent": 2 * k,
+    }
+    # shifting every diagonal exponent fixes the matrix but moves e_1
+    shifted = replace(
+        cocharacter, diag_exponents=tuple(d + 3 for d in cocharacter.diag_exponents)
+    )
+    assert stabilizer_witness(shifted, k) == {"cyclic_vector": "e_1", "nu_exponent": 3}
+    if n > 1:
+        d = cocharacter.diag_exponents
+        diag = replace(cocharacter, diag_exponents=d[:-1] + (d[-1] + 1,))
+        assert stabilizer_witness(diag, k) == {
+            "entry": [0, n - 1], "t_power": k, "nu_exponent": -1,
+        }
 
 
 def test_stabilizer_requires_coprime():
@@ -202,9 +288,16 @@ def test_applicable_suites_filtering():
     assert "weyl" in names
 
 
-def test_report_invariants():
-    from springer_rca.verify import VerificationReport
+def test_report_status_follows_witness():
+    p = Params(2, 3)
+    passed = VerificationReport.of("x", p, 4, {"a": 1})
+    assert passed.status == "pass" and passed.witness is None
+    failed = VerificationReport.of("x", p, None, {}, {"degree": 0})
+    assert failed.status == "fail" and failed.witness == {"degree": 0}
+    assert failed.to_dict()["params"] == {"n": 2, "k": 3, "max_degree": None}
 
+
+def test_report_invariants():
     with pytest.raises(ValueError):
         VerificationReport(
             claim="x", n=2, k=3, max_degree=1, status="fail", details={}
@@ -228,6 +321,17 @@ def test_verified_nullspace_rejects_wrong_kernel(monkeypatch):
         _verified_nullspace([block], 3)
 
 
+def _run_python(code, *flags):
+    """Run ``code`` in a fresh interpreter with ``src`` on the path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 def test_verified_nullspace_check_survives_optimize_flag():
     code = (
         "from fractions import Fraction\n"
@@ -240,12 +344,56 @@ def test_verified_nullspace_check_survives_optimize_flag():
         "except InvariantError:\n"
         "    print('raised')\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    result = _run_python(code, "-O")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "raised"
+
+
+def _nonvanishing_numerator(lam, phis, m):
+    return Fraction(1)
+
+
+def test_boundary_vanishing_violation_raises(monkeypatch):
+    # with a numerator that never vanishes, X's terms to inadmissible targets
+    # such as |1, 0> (from the vacuum) must be refused
+    monkeypatch.setattr(operators, "sca_numerator", _nonvanishing_numerator)
+    basis = build_graded_basis(Params(2, 3), 4)
+    with pytest.raises(InvariantError, match="leaves the moduli"):
+        minuscule_monopole(basis, (1, 0))
+
+
+def test_boundary_vanishing_violation_exits_5(monkeypatch, capsys):
+    monkeypatch.setattr(operators, "sca_numerator", _nonvanishing_numerator)
+    code = main(["verify", "--suite", "weyl", "--n", "2", "--k", "3", "--max-degree", "4"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err.startswith("error: invariant violated: ")
+
+
+def test_boundary_vanishing_check_survives_optimize_flag():
+    code = (
+        "from fractions import Fraction\n"
+        "from springer_rca import InvariantError, Params, build_graded_basis\n"
+        "from springer_rca import operators\n"
+        "operators.sca_numerator = lambda lam, phis, m: Fraction(1)\n"
+        "try:\n"
+        "    operators.minuscule_monopole(build_graded_basis(Params(2, 3), 4), (1, 0))\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    result = _run_python(code, "-O")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "raised"
+
+
+def test_verify_all_runs_without_sympy():
+    code = (
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"
+        "from springer_rca.cli import main\n"
+        "sys.exit(main(['verify', '--suite', 'all', '--n', '2', '--k', '3',\n"
+        "               '--max-degree', '8']))\n"
+    )
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
