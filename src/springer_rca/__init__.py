@@ -59,6 +59,7 @@ from .semigroup import (
 )
 from .verify import (
     GradedKernelSummary,
+    Truncation,
     VerificationReport,
     applicable_suites,
     check_weyl_relation,

@@ -3,8 +3,8 @@
 Exit codes: 0 success (all checks pass), 1 a suite failed, 2 usage error,
 3 unsupported parameters, 4 under-truncation (the minimal sufficient degree
 is printed), 5 an internal invariant was violated.
-Output is deterministic for a given configuration regardless of the
-parallelism degree; rationals are emitted in lowest terms as strings.
+Output is deterministic for a given configuration; rationals are emitted in
+lowest terms as strings.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .core import Params, build_graded_basis, enumerate_fixed_points
@@ -36,7 +34,7 @@ from .operators import (
     operator_x,
     operator_y,
 )
-from .verify import SUITES, applicable_suites, run_suite
+from .verify import SUITES, Truncation, applicable_suites, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -46,7 +44,6 @@ EXIT_INVARIANT = 5
 
 OPERATOR_NAMES = ("X", "Y", "E", "F", "H", "Er", "Fr", "monopole", "commutator-XY")
 DRESS_NAMES = ("1", "e1", "e2")
-THREADS_ENV = "SPRINGER_RCA_THREADS"
 
 
 class UsageError(Exception):
@@ -76,10 +73,6 @@ def _build_parser():
             help="output format (default json)",
         )
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument(
-            "--threads", type=int, default=None,
-            help=f"parallelism degree, capped by ${THREADS_ENV}",
-        )
         p.add_argument("--config", default=None, help="key=value config file")
 
     p_fixed = sub.add_parser("fixed-points", help="enumerate fixed points per degree")
@@ -120,7 +113,7 @@ def _load_config(path):
     return values
 
 
-_INT_KEYS = {"n", "k", "max_degree", "threads", "r"}
+_INT_KEYS = {"n", "k", "max_degree", "r"}
 
 
 def _integer(value, what):
@@ -158,16 +151,6 @@ def _params(args):
         if isinstance(exc, SpringerRcaError):
             raise
         raise UsageError(str(exc))
-
-
-def _threads(args):
-    requested = args.threads if args.threads is not None else 1
-    if requested < 1:
-        raise UsageError("--threads must be positive")
-    cap = os.environ.get(THREADS_ENV)
-    if cap is not None:
-        requested = min(requested, max(1, _integer(cap, f"${THREADS_ENV}")))
-    return requested
 
 
 def _rational(value):
@@ -304,22 +287,14 @@ def cmd_verify(args):
     _require(args, "suite")
     if args.suite != "stabilizer":
         _require(args, "max_degree")
+    run = Truncation(params, args.max_degree)
     if args.suite == "all":
-        names = applicable_suites(params)
+        names = applicable_suites(run)
         skipped = [s for s in SUITES if s not in names]
     else:
         names = [args.suite]
         skipped = []
-    threads = _threads(args)
-    if threads > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(run_suite, name, params, args.max_degree)
-                for name in names
-            ]
-            reports = [f.result() for f in futures]
-    else:
-        reports = [run_suite(name, params, args.max_degree) for name in names]
+    reports = [run_suite(name, run) for name in names]
     all_passed = all(r.passed for r in reports)
     results = {
         "suites": [

@@ -3,7 +3,9 @@
 Each suite computes everything twice where two routes exist (generic
 localization matrices against closed forms, fixed-point counts against the
 series, kernels against dimension formulas) and reports exact pass/fail with
-a concrete witness on failure.  No floating point enters anywhere.
+a concrete witness on failure.  No floating point enters anywhere.  Every
+check takes one ``Truncation``, which builds the graded basis and each
+operator once for all the suites of a run.
 """
 
 from __future__ import annotations
@@ -11,22 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import (
-    Params,
-    build_graded_basis,
-    enumerate_fixed_points,
-    stabilizer_cocharacter,
-)
+from .core import build_graded_basis, stabilizer_cocharacter
 from .errors import DimensionError, InvariantError, UnderTruncationError
 from .linalg import RatMat
 from .operators import (
+    MinusculeCoweight,
     commutator,
     identity_operator,
-    operator_e,
-    operator_f,
+    minuscule_monopole,
     operator_h,
-    operator_x,
-    operator_y,
     zero_operator,
 )
 from .qseries import QPolynomial, compactified_jacobian_dim, euler_series
@@ -103,6 +98,67 @@ class GradedKernelSummary:
         }
 
 
+class Truncation:
+    """One verification run: the truncation (params, max_degree) and its operators.
+
+    The graded basis and each undressed operator are built on first use and
+    then shared by every suite of the run.  Operators are keyed by their
+    coweight vector, so Y and F_1 are one matrix.  Nothing mutates a shared
+    operator: composition, sums and scaling all return new ones.
+    """
+
+    def __init__(self, params, max_degree):
+        self.params = params
+        self.max_degree = max_degree
+        self._basis = None
+        self._operators = {}
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = build_graded_basis(self.params, self.max_degree)
+        return self._basis
+
+    @property
+    def ell(self):
+        """The rank-two parameter l with k = 2l + 1."""
+        return (self.params.k - 1) // 2
+
+    def require_degree(self, required, what):
+        """Raise UnderTruncationError unless max_degree >= required."""
+        if self.max_degree < required:
+            raise UnderTruncationError(
+                f"{what} only for max_degree >= {required}, got {self.max_degree}",
+                required_degree=required,
+            )
+
+    def monopole(self, sign, r):
+        """The undressed minuscule monopole of coweight sign * (1^r, 0^(n-r))."""
+        coweight = MinusculeCoweight(sign, r, self.params.n)
+        key = coweight.expansion
+        if key not in self._operators:
+            self._operators[key] = minuscule_monopole(self.basis, coweight)
+        return self._operators[key]
+
+    @property
+    def x(self):
+        """Raising Weyl generator, charge (1, 0, ..., 0)."""
+        return self.monopole(1, 1)
+
+    @property
+    def y(self):
+        """Lowering Weyl generator, charge -(1, 0, ..., 0)."""
+        return self.monopole(-1, 1)
+
+    def sl2(self):
+        """The rank-two triple (E, F, H) with E = E_2, F = -F_2."""
+        self.params.require_rank_two()
+        if "H" not in self._operators:
+            self._operators["H"] = operator_h(self.basis)
+        e, f = self.monopole(1, 2), self.monopole(-1, 2).scaled(-1)
+        return e, f, self._operators["H"]
+
+
 def _json_safe(obj):
     if isinstance(obj, Fraction):
         return str(obj)
@@ -160,28 +216,18 @@ def weyl_report(x, y, basis, max_check):
     )
 
 
-def check_weyl_relation(params, max_degree):
-    params.require_coprime()
-    basis = build_graded_basis(params, max_degree)
-    return weyl_report(operator_x(basis), operator_y(basis), basis, max_degree - 2)
+def check_weyl_relation(run):
+    run.params.require_coprime()
+    return weyl_report(run.x, run.y, run.basis, run.max_degree - 2)
 
 
-def sl2_generators(basis):
-    """The (E, F, H) triple and Weyl pair (X, Y) for n = 2."""
-    basis.params.require_rank_two()
-    e = operator_e(basis, 2)
-    f = operator_f(basis, 2).scaled(-1)
-    h = operator_h(basis)
-    return e, f, h, operator_x(basis), operator_y(basis)
-
-
-def _rank_two_relations(basis):
+def _rank_two_relations(run):
     """Yield (relation, witness or None) for each rank-two identity in order.
 
     Later identities are only computed once the earlier ones have been read.
     """
-    ell = (basis.params.k - 1) // 2
-    e, f, h, x, y = sl2_generators(basis)
+    e, f, h = run.sl2()
+    x, y, basis = run.x, run.y, run.basis
     relations = [
         ("[E,F] = H", commutator(e, f), h),
         ("[H,E] = 2E", commutator(h, e), e.scaled(2)),
@@ -200,7 +246,7 @@ def _rank_two_relations(basis):
         yield name, witness
 
     casimir = (e @ f + f @ e).scaled(2) + h @ h
-    yield "Casimir diagonal", _casimir_witness(casimir, basis, ell)
+    yield "Casimir diagonal", _casimir_witness(casimir, basis, run.ell)
 
     w_plus = (x @ x).scaled(Fraction(1, 2))
     w_zero = (x @ y + y @ x).scaled(Fraction(-1, 2))
@@ -241,19 +287,19 @@ def _casimir_witness(casimir, basis, ell):
     return None
 
 
-def check_sl2_and_casimir(params, max_degree):
+def check_sl2_and_casimir(run):
     """All rank-two commutators, the Casimir eigenvalues, and the cubic relation."""
-    params.require_rank_two()
-    basis = build_graded_basis(params, max_degree)
+    run.params.require_rank_two()
+    run.require_degree(1, "the rank-two relations are checked")
     checked = []
-    for name, witness in _rank_two_relations(basis):
+    for name, witness in _rank_two_relations(run):
         if witness:
             break
         checked.append(name)
     return VerificationReport.of(
         "rank-two commutation relations, Casimir, and cubic relation",
-        params,
-        max_degree,
+        run.params,
+        run.max_degree,
         {"relations_checked": checked},
         witness,
     )
@@ -276,46 +322,51 @@ def _verified_nullspace(blocks, dim):
     return vectors
 
 
-def singular_vectors(params, max_degree):
-    """Joint kernel of all lowering operators F_1[1], ..., F_n[1], by degree."""
-    params.require_coprime()
-    basis = build_graded_basis(params, max_degree)
-    lowering = [operator_f(basis, r) for r in range(1, params.n + 1)]
+def _graded_kernel(run, operators, name):
+    """Per-degree joint kernel of ``operators`` on the run's basis."""
+    basis = run.basis
     per_degree = {}
     vectors = []
     for d in basis.degrees():
         if basis.dim(d) == 0:
             per_degree[d] = 0
             continue
-        kernel = _verified_nullspace([op.block(d) for op in lowering], basis.dim(d))
+        kernel = _verified_nullspace([op.block(d) for op in operators], basis.dim(d))
         per_degree[d] = len(kernel)
         vectors.extend((d, tuple(vec)) for vec in kernel)
     return GradedKernelSummary(
-        n=params.n,
-        k=params.k,
-        max_degree=max_degree,
-        operator="joint kernel of F_r[1], r = 1..n",
+        n=run.params.n,
+        k=run.params.k,
+        max_degree=run.max_degree,
+        operator=name,
         per_degree=per_degree,
         total=sum(per_degree.values()),
         vectors=vectors,
     )
 
 
-def check_singular_vectors(params, max_degree):
+def singular_vectors(run):
+    """Joint kernel of all lowering operators F_1[1], ..., F_n[1], by degree."""
+    run.params.require_coprime()
+    lowering = [run.monopole(-1, r) for r in range(1, run.params.n + 1)]
+    return _graded_kernel(run, lowering, "joint kernel of F_r[1], r = 1..n")
+
+
+def check_singular_vectors(run):
     """The vacuum class is the unique singular vector up to the truncation."""
-    summary = singular_vectors(params, max_degree)
+    summary = singular_vectors(run)
     witness = None
     if summary.per_degree.get(0) != 1:
         witness = {"degree": 0, "expected_dim": 1, "actual_dim": summary.per_degree.get(0)}
     else:
-        for d in range(1, max_degree - params.n + 1):
+        for d in range(1, run.max_degree - run.params.n + 1):
             if summary.per_degree.get(d, 0) != 0:
                 witness = {"degree": d, "expected_dim": 0, "actual_dim": summary.per_degree[d]}
                 break
     return VerificationReport.of(
         "joint kernel of the lowering family is spanned by the vacuum",
-        params,
-        max_degree,
+        run.params,
+        run.max_degree,
         {"summary": summary.to_dict()},
         witness,
     )
@@ -326,39 +377,14 @@ def stabilization_degree(params):
     return (params.n - 1) * (params.k - 1) + params.n
 
 
-def kernel_y(params, max_degree):
+def kernel_y(run):
     """Per-degree kernel of the lowering Weyl generator Y."""
-    params.require_coprime()
-    required = stabilization_degree(params)
-    if max_degree < required:
-        raise UnderTruncationError(
-            f"kernel of Y stabilizes only for max_degree >= {required}, "
-            f"got {max_degree}",
-            required_degree=required,
-        )
-    basis = build_graded_basis(params, max_degree)
-    y = operator_y(basis)
-    per_degree = {}
-    vectors = []
-    for d in basis.degrees():
-        if basis.dim(d) == 0:
-            per_degree[d] = 0
-            continue
-        kernel = _verified_nullspace([y.block(d)], basis.dim(d))
-        per_degree[d] = len(kernel)
-        vectors.extend((d, tuple(vec)) for vec in kernel)
-    return GradedKernelSummary(
-        n=params.n,
-        k=params.k,
-        max_degree=max_degree,
-        operator="Y",
-        per_degree=per_degree,
-        total=sum(per_degree.values()),
-        vectors=vectors,
-    )
+    run.params.require_coprime()
+    run.require_degree(stabilization_degree(run.params), "kernel of Y stabilizes")
+    return _graded_kernel(run, [run.y], "Y")
 
 
-def finite_part_character(params, max_degree):
+def finite_part_character(run):
     """The polynomial (1 - q) times the graded Euler series.
 
     The series counts fixed points per degree; those counts stabilize, so
@@ -366,14 +392,9 @@ def finite_part_character(params, max_degree):
     coefficients summing to the compactified Jacobian dimension.  All three
     facts are checked here and raise InvariantError if they fail.
     """
+    params, max_degree = run.params, run.max_degree
     params.require_coprime()
-    required = stabilization_degree(params)
-    if max_degree < required:
-        raise UnderTruncationError(
-            f"the finite part stabilizes only for max_degree >= {required}, "
-            f"got {max_degree}",
-            required_degree=required,
-        )
+    run.require_degree(stabilization_degree(params), "the finite part stabilizes")
     series = euler_series(params, max_degree)
     diff = [
         series.coefficient(d) - series.coefficient(d - 1)
@@ -395,16 +416,16 @@ def finite_part_character(params, max_degree):
     return poly
 
 
-def check_kernel_y(params, max_degree):
+def check_kernel_y(run):
     """Kernel of Y against the closed dimension count and the finite character."""
-    summary = kernel_y(params, max_degree)
-    expected_total = compactified_jacobian_dim(params)
-    character = finite_part_character(params, max_degree)
+    summary = kernel_y(run)
+    expected_total = compactified_jacobian_dim(run.params)
+    character = finite_part_character(run)
     witness = None
     if summary.total != expected_total:
         witness = {"expected_total": expected_total, "actual_total": summary.total}
     else:
-        for d in range(max_degree + 1):
+        for d in range(run.max_degree + 1):
             if summary.per_degree.get(d, 0) != character.coefficient(d):
                 witness = {
                     "degree": d,
@@ -414,8 +435,8 @@ def check_kernel_y(params, max_degree):
                 break
     return VerificationReport.of(
         "kernel of Y matches the compactified Jacobian cohomology",
-        params,
-        max_degree,
+        run.params,
+        run.max_degree,
         {
             "summary": summary.to_dict(),
             "expected_total": expected_total,
@@ -425,43 +446,36 @@ def check_kernel_y(params, max_degree):
     )
 
 
-def lowest_weight_decomposition(params, max_degree):
+def lowest_weight_decomposition(run):
     """Kernel of the rank-two lowering operator F with Cartan weights.
 
     Returns (weight, degree, coords) triples; F drops degree by two, and the
-    Cartan eigenvalue on pure degree d is d + 1 - k/2.
+    Cartan eigenvalue on pure degree d is d + 1 - k/2.  The count is complete
+    only for max_degree >= k + 1, which ``check_appendix_b`` requires.
     """
-    params.require_rank_two()
-    if max_degree < params.k + 1:
-        raise UnderTruncationError(
-            f"the lowest-weight count stabilizes only for max_degree >= "
-            f"{params.k + 1}, got {max_degree}",
-            required_degree=params.k + 1,
-        )
-    basis = build_graded_basis(params, max_degree)
-    f = operator_f(basis, 2).scaled(-1)
+    _, f, _ = run.sl2()
+    basis = run.basis
     out = []
     for d in basis.degrees():
         if basis.dim(d) == 0:
             continue
         kernel = _verified_nullspace([f.block(d)], basis.dim(d))
-        weight = d + 1 - Fraction(params.k, 2)
+        weight = d + 1 - Fraction(run.params.k, 2)
         out.extend((weight, d, tuple(vec)) for vec in kernel)
     return out
 
 
-def check_lowest_weight_decomposition(params, max_degree):
+def check_lowest_weight_decomposition(run):
     """Verma decomposition data: 2l+2 lowest-weight classes |0, A_2>."""
-    ell = (params.k - 1) // 2
-    triples = lowest_weight_decomposition(params, max_degree)
-    basis = build_graded_basis(params, max_degree)
-    expected_count = 2 * ell + 2
+    triples = lowest_weight_decomposition(run)
+    basis = run.basis
+    expected_count = 2 * run.ell + 2
     witness = None
     if len(triples) != expected_count:
         witness = {"expected_count": expected_count, "actual_count": len(triples)}
     else:
         for number, (weight, d, coords) in enumerate(triples):
-            want_weight = rank_two.lowest_weight(d, ell)
+            want_weight = rank_two.lowest_weight(d, run.ell)
             unit = [Fraction(0)] * basis.dim(d)
             unit[basis.index(d, (0, d))] = Fraction(1)
             if d != number or weight != want_weight or list(coords) != unit:
@@ -474,23 +488,20 @@ def check_lowest_weight_decomposition(params, max_degree):
                 break
     return VerificationReport.of(
         "lowest-weight classes are |0, A_2> with weights A_2 + 1 - k/2",
-        params,
-        max_degree,
+        run.params,
+        run.max_degree,
         {"count": len(triples), "weights": [str(w) for w, _, _ in triples]},
         witness,
     )
 
 
-def check_closed_forms(ell, max_degree):
+def check_closed_forms(run):
     """Generic localization matrices against the rank-two closed forms."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    params = Params(2, 2 * ell + 1)
-    basis = build_graded_basis(params, max_degree)
-    e, f, h, x, y = sl2_generators(basis)
+    e, f, h = run.sl2()
+    basis = run.basis
     pairs = [
-        ("X", x, rank_two.closed_form_x(basis)),
-        ("Y", y, rank_two.closed_form_y(basis)),
+        ("X", run.x, rank_two.closed_form_x(basis)),
+        ("Y", run.y, rank_two.closed_form_y(basis)),
         ("E", e, rank_two.closed_form_e(basis)),
         ("F", f, rank_two.closed_form_f(basis)),
         ("H", h, rank_two.closed_form_h(basis)),
@@ -504,27 +515,21 @@ def check_closed_forms(ell, max_degree):
         compared[name] = min(generic.max_source, closed.max_source)
     return VerificationReport.of(
         "localization matrices equal the rank-two closed forms",
-        params,
-        max_degree,
+        run.params,
+        run.max_degree,
         {"compared": compared},
         witness,
     )
 
 
-def check_y_kernel_vectors(ell, max_degree=None):
+def check_y_kernel_vectors(run):
     """The l+1 explicit kernel vectors are annihilated by Y exactly."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    params = Params(2, 2 * ell + 1)
-    if max_degree is None:
-        max_degree = 2 * ell + 1
-    basis = build_graded_basis(params, max_degree)
-    y = operator_y(basis)
-    vectors = rank_two.y_kernel_vectors(ell)
+    run.params.require_rank_two()
+    vectors = rank_two.y_kernel_vectors(run.ell)
     witness = None
     degrees = []
     for number, vec in enumerate(vectors):
-        image = y.apply(vec)
+        image = run.y.apply(vec)
         vec_degrees = {sum(label) for label in vec}
         if image or vec_degrees != {2 * number}:
             witness = {
@@ -536,8 +541,8 @@ def check_y_kernel_vectors(ell, max_degree=None):
         degrees.append(2 * number)
     return VerificationReport.of(
         "explicit kernel vectors of Y annihilate exactly",
-        params,
-        max_degree,
+        run.params,
+        run.max_degree,
         {"count": len(vectors), "degrees": degrees},
         witness,
     )
@@ -588,11 +593,12 @@ def verify_stabilizer(params):
     )
 
 
-def check_character_identity(params, max_degree):
+def check_character_identity(run):
     """Fixed-point counts per degree against the Euler series coefficients."""
+    params = run.params
     params.require_coprime()
-    series = euler_series(params, max_degree)
-    counts = [len(enumerate_fixed_points(params, d)) for d in range(max_degree + 1)]
+    series = euler_series(params, run.max_degree)
+    counts = [run.basis.dim(d) for d in run.basis.degrees()]
     witness = None
     for d, count in enumerate(counts):
         if count != series.coefficient(d):
@@ -605,57 +611,73 @@ def check_character_identity(params, max_degree):
     return VerificationReport.of(
         "fixed-point counts equal the Euler series coefficients",
         params,
-        max_degree,
+        run.max_degree,
         {"counts": counts},
         witness,
     )
 
 
-def check_appendix_b(params, max_degree):
+def check_appendix_b(run):
     """Rank-two closed forms, explicit kernel vectors of Y, and lowest weights."""
-    params.require_rank_two()
-    ell = (params.k - 1) // 2
+    run.params.require_rank_two()
+    run.require_degree(run.params.k + 1, "the lowest-weight count stabilizes")
     reports = [
-        check_closed_forms(ell, max_degree),
-        check_y_kernel_vectors(ell, max_degree),
-        check_lowest_weight_decomposition(params, max_degree),
+        check_closed_forms(run),
+        check_y_kernel_vectors(run),
+        check_lowest_weight_decomposition(run),
     ]
     failed = [r for r in reports if not r.passed]
     return VerificationReport.of(
         "rank-two closed forms, kernel vectors, and Verma decomposition",
-        params,
-        max_degree,
+        run.params,
+        run.max_degree,
         {"subchecks": [r.to_dict() for r in reports]},
         failed[0].witness if failed else None,
     )
 
 
-# name -> (defined only for rank two?, check(params, max_degree)), in report
-# order.  The lambdas look each check up when called, so a rebinding of a
-# module name (a tracing wrapper, a test double) takes effect.
+def _any(run):
+    return True
+
+
+def _rank_two(run):
+    return run.params.rank_two
+
+
+def _within_oracle_budget(run):
+    return run.max_degree <= semigroup.DEFAULT_BUDGET
+
+
+# name -> (applies(run)?, check(run)), in report order.  ``verify --suite
+# all`` runs the suites that apply and lists the rest as skipped.  The
+# lambdas look each check up when called, so a rebinding of a module name
+# (a tracing wrapper, a test double) takes effect.
 SUITES = {
-    "weyl": (False, lambda p, D: check_weyl_relation(p, D)),
-    "sl2": (True, lambda p, D: check_sl2_and_casimir(p, D)),
-    "singular": (False, lambda p, D: check_singular_vectors(p, D)),
-    "kernel-y": (False, lambda p, D: check_kernel_y(p, D)),
-    "appendix-b": (True, lambda p, D: check_appendix_b(p, D)),
-    "stabilizer": (False, lambda p, D: verify_stabilizer(p)),
-    "euler": (False, lambda p, D: check_character_identity(p, D)),
-    "oracle": (False, lambda p, D: semigroup.compare_with_fixed_points(p, D)),
+    "weyl": (_any, lambda run: check_weyl_relation(run)),
+    "sl2": (_rank_two, lambda run: check_sl2_and_casimir(run)),
+    "singular": (_any, lambda run: check_singular_vectors(run)),
+    "kernel-y": (_any, lambda run: check_kernel_y(run)),
+    "appendix-b": (_rank_two, lambda run: check_appendix_b(run)),
+    "stabilizer": (_any, lambda run: verify_stabilizer(run.params)),
+    "euler": (_any, lambda run: check_character_identity(run)),
+    "oracle": (
+        _within_oracle_budget,
+        lambda run: semigroup.compare_with_fixed_points(run.params, run.max_degree),
+    ),
 }
 
 
-def run_suite(name, params, max_degree):
-    """Run one named verification suite."""
+def run_suite(name, run):
+    """Run one named verification suite on the shared truncation ``run``."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name][1](params, max_degree)
+    return SUITES[name][1](run)
 
 
-def applicable_suites(params):
-    """Suites defined for these parameters (rank-two suites need n=2, odd k)."""
-    return [
-        name
-        for name, (rank_two_only, _) in SUITES.items()
-        if params.rank_two or not rank_two_only
-    ]
+def applicable_suites(run):
+    """Suites that ``verify --suite all`` runs on this truncation.
+
+    The rank-two suites need n = 2 and odd k; the oracle's ideal search
+    stops at colength ``semigroup.DEFAULT_BUDGET``.
+    """
+    return [name for name, (applies, _) in SUITES.items() if applies(run)]

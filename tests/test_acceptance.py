@@ -24,6 +24,7 @@ from springer_rca import (
     operator_x,
     operator_y,
     phi_weights,
+    Truncation,
     singular_vectors,
     verify_stabilizer,
 )
@@ -72,7 +73,7 @@ def test_criterion_02_kernel_dimension():
     for (n, k), expected in zip(PAIRS, expected_totals):
         params = Params(n, k)
         max_degree = (n - 1) * (k - 1) + n
-        summary = kernel_y(params, max_degree)
+        summary = kernel_y(Truncation(params, max_degree))
         detail.append(summary.total)
         if summary.total != expected or summary.total != compactified_jacobian_dim(params):
             ok = False
@@ -83,7 +84,7 @@ def test_criterion_03_singular_vector():
     max_degree = 10
     ok = True
     for n, k in PAIRS:
-        summary = singular_vectors(Params(n, k), max_degree)
+        summary = singular_vectors(Truncation(Params(n, k), max_degree))
         if summary.per_degree[0] != 1:
             ok = False
         if any(summary.per_degree[d] != 0 for d in range(1, max_degree - n + 1)):
@@ -104,7 +105,10 @@ def test_criterion_04_character_identity():
 
 
 def test_criterion_05_closed_forms():
-    ok = all(check_closed_forms(ell, 12).passed for ell in range(1, 5))
+    ok = all(
+        check_closed_forms(Truncation(Params(2, 2 * ell + 1), 12)).passed
+        for ell in range(1, 5)
+    )
     basis = build_graded_basis(Params(2, 3), 12)
     x = operator_x(basis)
     y = operator_y(basis)
@@ -117,26 +121,29 @@ def test_criterion_05_closed_forms():
 
 def test_criterion_06_sl2_and_casimir():
     ok = all(
-        check_sl2_and_casimir(Params(2, 2 * ell + 1), 12).passed
+        check_sl2_and_casimir(Truncation(Params(2, 2 * ell + 1), 12)).passed
         for ell in range(1, 5)
     )
     _finish(6, "sl2 commutators, Casimir eigenvalues, cubic relation", ok)
 
 
 def test_criterion_07_y_kernel_vectors():
-    ok = all(check_y_kernel_vectors(ell).passed for ell in range(1, 5))
+    ok = all(
+        check_y_kernel_vectors(Truncation(Params(2, 2 * ell + 1), 2 * ell + 1)).passed
+        for ell in range(1, 5)
+    )
     _finish(7, "explicit ker Y vectors, N=0..l, l=1..4", ok)
 
 
 def test_criterion_08_lowest_weight_decomposition():
     ok = True
     for ell in range(1, 5):
-        params = Params(2, 2 * ell + 1)
-        triples = lowest_weight_decomposition(params, 12)
+        run = Truncation(Params(2, 2 * ell + 1), 12)
+        triples = lowest_weight_decomposition(run)
         if len(triples) != 2 * ell + 2:
             ok = False
             continue
-        basis = build_graded_basis(params, 12)
+        basis = run.basis
         for weight, d, coords in triples:
             unit = [Fraction(0)] * basis.dim(d)
             unit[basis.index(d, (0, d))] = Fraction(1)

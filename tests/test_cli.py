@@ -2,11 +2,14 @@
 
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from springer_rca import Params, verify
 from springer_rca.cli import main
 from springer_rca.linalg import RatMat
+from springer_rca.verify import stabilization_degree
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +177,97 @@ def test_verify_under_truncation_exits_4(capsys):
     assert "16" in err
 
 
+@pytest.mark.parametrize("suite", ["appendix-b", "all"])
+def test_verify_rank_two_at_k_1_passes(capsys, suite):
+    # l = 0: one explicit kernel vector and two lowest-weight classes
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", suite, "--n", "2", "--k", "1", "--max-degree", "5"
+    )
+    assert code == 0, err
+    assert json.loads(out)["results"]["all_passed"] is True
+
+
+@pytest.mark.parametrize(
+    "suite,k,max_degree,required",
+    [("appendix-b", 7, 3, 8), ("appendix-b", 3, 1, 4), ("sl2", 3, 0, 1)],
+)
+def test_verify_low_truncation_exits_4(capsys, suite, k, max_degree, required):
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", suite, "--n", "2", "--k", str(k),
+        "--max-degree", str(max_degree),
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: under-truncation: ")
+    assert f">= {required}," in err
+
+
+def _verify_payload(capsys, suite, n, k, max_degree):
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", suite, "--n", str(n), "--k", str(k),
+        "--max-degree", str(max_degree),
+    )
+    return code, json.loads(out) if out else None, err
+
+
+def test_verify_all_runs_oracle_up_to_its_budget(capsys):
+    code, payload, _ = _verify_payload(capsys, "all", 2, 3, 24)
+    assert code == 0
+    assert payload["results"]["skipped_suites"] == []
+    assert payload["results"]["suites"][-1]["suite"] == "oracle"
+
+
+def test_verify_all_skips_oracle_past_its_budget(capsys):
+    code, payload, _ = _verify_payload(capsys, "all", 2, 3, 25)
+    assert code == 0
+    assert payload["results"]["skipped_suites"] == ["oracle"]
+    assert "oracle" not in [entry["suite"] for entry in payload["results"]["suites"]]
+    code, payload, err = _verify_payload(capsys, "all", 3, 4, 25)
+    assert code == 0
+    assert payload["results"]["skipped_suites"] == ["sl2", "appendix-b", "oracle"]
+
+
+def test_verify_oracle_alone_past_its_budget_exits_2(capsys):
+    code, payload, err = _verify_payload(capsys, "oracle", 2, 3, 25)
+    assert code == 2
+    assert payload is None
+    assert "search budget 24" in err
+
+
+def test_verify_all_builds_basis_and_each_operator_once(capsys, monkeypatch):
+    calls = {"basis": 0, "operator": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "build_graded_basis", counted("basis", verify.build_graded_basis))
+    monkeypatch.setattr(verify, "minuscule_monopole", counted("operator", verify.minuscule_monopole))
+    monkeypatch.setattr(verify, "operator_h", counted("operator", verify.operator_h))
+    code, _, err = _verify_payload(capsys, "all", 2, 3, 8)
+    assert code == 0, err
+    # X, Y = F_1, E_2, F_2 and H
+    assert calls == {"basis": 1, "operator": 5}
+
+
+SWEEP = [(n, k) for n in range(1, 4) for k in range(1, 8) if gcd(n, k) == 1]
+
+
+@pytest.mark.parametrize("n,k", SWEEP)
+def test_verify_all_matches_each_suite_alone(capsys, n, k):
+    max_degree = max(stabilization_degree(Params(n, k)), k + 1)
+    code, payload, err = _verify_payload(capsys, "all", n, k, max_degree)
+    assert code == 0, err
+    for entry in payload["results"]["suites"]:
+        name = entry["suite"]
+        alone_code, alone, _ = _verify_payload(capsys, name, n, k, max_degree)
+        assert alone_code == 0
+        assert alone["results"]["suites"] == [entry], name
+
+
 def test_verify_oracle(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "oracle", "--n", "3", "--k", "4",
@@ -184,19 +278,6 @@ def test_verify_oracle(capsys):
     assert payload["results"]["suites"][0]["details"]["ideal_counts"] == [
         1, 1, 2, 3, 4, 4, 5,
     ]
-
-
-def test_verify_output_deterministic_across_threads(capsys, monkeypatch):
-    args = ["verify", "--suite", "all", "--n", "2", "--k", "3", "--max-degree", "8"]
-    code, out1, _ = run_cli(capsys, *args, "--threads", "1")
-    assert code == 0
-    code, out4, _ = run_cli(capsys, *args, "--threads", "4")
-    assert code == 0
-    assert out1 == out4
-    monkeypatch.setenv("SPRINGER_RCA_THREADS", "1")
-    code, capped, _ = run_cli(capsys, *args, "--threads", "4")
-    assert code == 0
-    assert capped == out1
 
 
 def test_output_file(tmp_path, capsys):
@@ -257,31 +338,29 @@ def test_verify_invariant_violation_exits_5(capsys, monkeypatch):
 
 BAD_INPUTS = {
     "verify negative degree": (
-        ["verify", "--suite", "weyl", "--n", "2", "--k", "3", "--max-degree", "-1"], None, {},
+        ["verify", "--suite", "weyl", "--n", "2", "--k", "3", "--max-degree", "-1"], None,
     ),
     "operator negative degree": (
-        ["operator", "--op", "X", "--n", "2", "--k", "3", "--max-degree", "-1"], None, {},
+        ["operator", "--op", "X", "--n", "2", "--k", "3", "--max-degree", "-1"], None,
     ),
     "fixed-points negative degree": (
-        ["fixed-points", "--n", "2", "--k", "3", "--max-degree", "-1"], None, {},
+        ["fixed-points", "--n", "2", "--k", "3", "--max-degree", "-1"], None,
     ),
     "oracle negative degree": (
-        ["verify", "--suite", "oracle", "--n", "2", "--k", "3", "--max-degree", "-2"], None, {},
+        ["verify", "--suite", "oracle", "--n", "2", "--k", "3", "--max-degree", "-2"], None,
     ),
     "non-integer config value": (
-        ["fixed-points", "--k", "3"], "n = two\nmax_degree = 3\n", {},
+        ["fixed-points", "--k", "3"], "n = two\nmax_degree = 3\n",
     ),
-    "non-integer thread cap": (
-        ["verify", "--suite", "weyl", "--n", "2", "--k", "3", "--max-degree", "4"], None,
-        {"SPRINGER_RCA_THREADS": "x"},
+    "threads config key": (
+        ["verify", "--suite", "weyl", "--n", "2", "--k", "3", "--max-degree", "4"],
+        "threads = 2\n",
     ),
 }
 
 
-@pytest.mark.parametrize("argv,config,env", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exits_2(argv, config, env, tmp_path, capsys, monkeypatch):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+@pytest.mark.parametrize("argv,config", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2(argv, config, tmp_path, capsys):
     if config:
         path = tmp_path / "run.cfg"
         path.write_text(config)

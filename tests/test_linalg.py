@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from springer_rca import DimensionError, Params, build_graded_basis
 from springer_rca.linalg import RatMat
 from springer_rca.operators import operator_f, operator_y
-from springer_rca.verify import kernel_y, singular_vectors, stabilization_degree
+from springer_rca.verify import Truncation, kernel_y, singular_vectors, stabilization_degree
 
 
 def reference_rref(m):
@@ -207,7 +207,7 @@ def test_singular_vector_kernels_match_reference(n, k, D):
     basis = build_graded_basis(params, D)
     lowering = [operator_f(basis, r) for r in range(1, n + 1)]
     expected = _reference_kernels(lambda d: [op.block(d) for op in lowering], basis)
-    assert singular_vectors(params, D).vectors == expected
+    assert singular_vectors(Truncation(params, D)).vectors == expected
 
 
 @pytest.mark.parametrize("n,k", [(2, 7), (3, 4)])
@@ -217,4 +217,4 @@ def test_kernel_y_kernels_match_reference(n, k):
     basis = build_graded_basis(params, D)
     y = operator_y(basis)
     expected = _reference_kernels(lambda d: [y.block(d)], basis)
-    assert kernel_y(params, D).vectors == expected
+    assert kernel_y(Truncation(params, D)).vectors == expected

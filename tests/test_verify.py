@@ -28,8 +28,10 @@ from springer_rca.cli import main
 from springer_rca.linalg import RatMat
 from springer_rca.operators import DressPolynomial, minuscule_monopole, operator_f
 from springer_rca.verify import (
+    Truncation,
     _verified_nullspace,
     applicable_suites,
+    check_appendix_b,
     check_character_identity,
     check_kernel_y,
     check_lowest_weight_decomposition,
@@ -92,7 +94,7 @@ def _perturbed(cocharacter):
 
 @pytest.mark.parametrize("n,k,D", [(2, 3, 10), (3, 4, 8), (1, 5, 6)])
 def test_weyl_relation_passes(n, k, D):
-    report = check_weyl_relation(Params(n, k), D)
+    report = check_weyl_relation(Truncation(Params(n, k), D))
     assert report.passed
     assert report.witness is None
 
@@ -111,24 +113,21 @@ def test_weyl_relation_fault_injection():
 
 @pytest.mark.parametrize("k", [3, 5])
 def test_sl2_and_casimir(k):
-    report = check_sl2_and_casimir(Params(2, k), 10)
+    report = check_sl2_and_casimir(Truncation(Params(2, k), 10))
     assert report.passed
     assert "Casimir diagonal" in report.details["relations_checked"]
 
 
 def test_sl2_rejects_bad_params():
     with pytest.raises(UnsupportedParametersError):
-        check_sl2_and_casimir(Params(3, 4), 8)
+        check_sl2_and_casimir(Truncation(Params(3, 4), 8))
     with pytest.raises(UnsupportedParametersError):
-        check_sl2_and_casimir(Params(2, 4), 8)
+        check_sl2_and_casimir(Truncation(Params(2, 4), 8))
 
 
 def test_casimir_spot_values():
     # eigenvalues (A2 - A1 - 3/2)^2 - 1 on the first two strata
-    basis = build_graded_basis(Params(2, 3), 6)
-    from springer_rca.verify import sl2_generators
-
-    e, f, h, _, _ = sl2_generators(basis)
+    e, f, h = Truncation(Params(2, 3), 6).sl2()
     casimir = (e @ f + f @ e).scaled(2) + h @ h
     assert casimir.block(0)[0, 0] == Fraction(5, 4)
     assert casimir.block(1)[0, 0] == Fraction(-3, 4)
@@ -136,12 +135,12 @@ def test_casimir_spot_values():
 
 @pytest.mark.parametrize("n,k,D", [(2, 3, 10), (3, 4, 9)])
 def test_singular_vectors(n, k, D):
-    summary = singular_vectors(Params(n, k), D)
+    summary = singular_vectors(Truncation(Params(n, k), D))
     assert summary.per_degree[0] == 1
     assert all(summary.per_degree[d] == 0 for d in range(1, D + 1))
     [(d0, coords)] = summary.vectors
     assert d0 == 0 and list(coords) == [1]
-    assert check_singular_vectors(Params(n, k), D).passed
+    assert check_singular_vectors(Truncation(Params(n, k), D)).passed
 
 
 def test_singular_vector_survives_dressing():
@@ -158,49 +157,49 @@ def test_singular_vector_survives_dressing():
 
 
 def test_kernel_y_counts():
-    summary = kernel_y(Params(2, 3), 8)
+    summary = kernel_y(Truncation(Params(2, 3), 8))
     assert summary.total == 2
     assert {d: v for d, v in summary.per_degree.items() if v} == {0: 1, 2: 1}
-    assert kernel_y(Params(3, 4), 12).total == 5
-    assert check_kernel_y(Params(2, 3), 8).passed
-    assert check_kernel_y(Params(3, 4), 9).passed
+    assert kernel_y(Truncation(Params(3, 4), 12)).total == 5
+    assert check_kernel_y(Truncation(Params(2, 3), 8)).passed
+    assert check_kernel_y(Truncation(Params(3, 4), 9)).passed
 
 
 def test_kernel_y_under_truncation():
     with pytest.raises(UnderTruncationError) as info:
-        kernel_y(Params(4, 5), 8)
+        kernel_y(Truncation(Params(4, 5), 8))
     assert info.value.required_degree == 16
 
 
 def test_finite_part_character_values():
-    assert finite_part_character(Params(2, 3), 8).coeffs == (1, 0, 1)
-    assert finite_part_character(Params(2, 5), 10).coeffs == (1, 0, 1, 0, 1)
+    assert finite_part_character(Truncation(Params(2, 3), 8)).coeffs == (1, 0, 1)
+    assert finite_part_character(Truncation(Params(2, 5), 10)).coeffs == (1, 0, 1, 0, 1)
     with pytest.raises(UnderTruncationError):
-        finite_part_character(Params(4, 5), 10)
+        finite_part_character(Truncation(Params(4, 5), 10))
 
 
 def test_finite_part_matches_kernel_dims():
-    p = Params(3, 4)
-    poly = finite_part_character(p, 12)
-    summary = kernel_y(p, 12)
+    run = Truncation(Params(3, 4), 12)
+    poly = finite_part_character(run)
+    summary = kernel_y(run)
     for d in range(13):
         assert summary.per_degree.get(d, 0) == poly.coefficient(d)
     assert poly(1) == summary.total
 
 
 def test_lowest_weight_decomposition():
-    triples = lowest_weight_decomposition(Params(2, 3), 10)
+    triples = lowest_weight_decomposition(Truncation(Params(2, 3), 10))
     assert [(str(w), d) for w, d, _ in triples] == [
         ("-1/2", 0),
         ("1/2", 1),
         ("3/2", 2),
         ("5/2", 3),
     ]
-    assert len(lowest_weight_decomposition(Params(2, 5), 10)) == 6
-    assert check_lowest_weight_decomposition(Params(2, 3), 10).passed
-    assert check_lowest_weight_decomposition(Params(2, 7), 12).passed
+    assert len(lowest_weight_decomposition(Truncation(Params(2, 5), 10))) == 6
+    assert check_lowest_weight_decomposition(Truncation(Params(2, 3), 10)).passed
+    assert check_lowest_weight_decomposition(Truncation(Params(2, 7), 12)).passed
     with pytest.raises(UnderTruncationError):
-        lowest_weight_decomposition(Params(2, 7), 7)
+        check_appendix_b(Truncation(Params(2, 7), 7))
 
 
 def test_rank_two_lowering_kills_boundary_classes():
@@ -212,7 +211,7 @@ def test_rank_two_lowering_kills_boundary_classes():
 
 @pytest.mark.parametrize("ell", [1, 2])
 def test_y_kernel_vector_check(ell):
-    assert check_y_kernel_vectors(ell).passed
+    assert check_y_kernel_vectors(Truncation(Params(2, 2 * ell + 1), 2 * ell + 1)).passed
 
 
 @pytest.mark.parametrize("n,k", [(2, 3), (3, 4), (1, 4)])
@@ -267,23 +266,22 @@ def test_stabilizer_requires_coprime():
 
 
 def test_character_identity_suite():
-    assert check_character_identity(Params(2, 3), 12).passed
-    assert check_character_identity(Params(3, 5), 12).passed
+    assert check_character_identity(Truncation(Params(2, 3), 12)).passed
+    assert check_character_identity(Truncation(Params(3, 5), 12)).passed
 
 
 def test_run_suite_dispatch():
-    p = Params(2, 3)
-    for name in applicable_suites(p):
-        D = 10
-        report = run_suite(name, p, D)
+    run = Truncation(Params(2, 3), 10)
+    for name in applicable_suites(run):
+        report = run_suite(name, run)
         assert report.passed, name
     with pytest.raises(ValueError):
-        run_suite("nope", p, 4)
+        run_suite("nope", Truncation(Params(2, 3), 4))
 
 
 def test_applicable_suites_filtering():
-    assert "sl2" in applicable_suites(Params(2, 3))
-    names = applicable_suites(Params(3, 4))
+    assert "sl2" in applicable_suites(Truncation(Params(2, 3), 10))
+    names = applicable_suites(Truncation(Params(3, 4), 10))
     assert "sl2" not in names and "appendix-b" not in names
     assert "weyl" in names
 
