@@ -12,6 +12,12 @@ where, writing phi for the target weights and m = -k/n,
       * prod_{lam_a > lam_b} prod_{beta=1..lam_a-lam_b} (phi_b - phi_a + m - beta)
     D = prod_{lam_a > lam_b} prod_{gamma=1..lam_a-lam_b} (phi_b - phi_a - gamma).
 
+Every weight phi_a = a*k/n - B_a is an integer over n, and so is m, so every
+factor of N and D is an integer over n.  The assembly therefore works with
+the integer weights P = n * phi and forms n^#factors * N and n^#factors * D
+as integers; their ratio differs from N / D by n^#vector factors, a power
+fixed by the coweight.  Only the stored entry itself is a Fraction.
+
 Evaluating every factor at the *target* weights is the convention that
 reproduces the closed rank-two formulas; the equivalent source-side route
 goes through ``excess_factor`` (the numerator above, evaluated at the target,
@@ -25,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .core import is_admissible, phi_weights
 from .errors import DimensionError, InvariantError, TruncationError
@@ -166,6 +172,24 @@ class DressPolynomial:
             total += term
         return total
 
+    def integer_form(self, scale):
+        """The polynomial at x / scale as integer terms over one denominator.
+
+        Returns (terms, denominator) with terms a list of (c, slots), c an
+        integer and slots the variable indices of the monomial repeated by
+        exponent, so that f(x / scale) = sum c * prod(x[i] for i in slots),
+        divided by the denominator, for every integer point x.
+        """
+        top = max((sum(expo) for expo in self.terms), default=0)
+        denominator = lcm(*(c.denominator for c in self.terms.values())) * scale**top
+        terms = []
+        for expo, coeff in sorted(self.terms.items()):
+            slots = tuple(i for i, e in enumerate(expo) for _ in range(e))
+            terms.append(
+                ((coeff * denominator / scale ** len(slots)).numerator, slots)
+            )
+        return terms, denominator
+
     def permuted(self, perm):
         """Polynomial g with g(x_0,...,x_{n-1}) = f(x_{perm[0]},...,x_{perm[n-1]})."""
         out = {}
@@ -284,6 +308,27 @@ class MinusculeCoweight:
             complement = [i for i in range(self.n) if i not in positions]
             rep = tuple(positions) + tuple(complement)
             out.append((tuple(vector), rep))
+        return out
+
+    def orbit_factors(self):
+        """Orbit as (vector, representative, pairs, slots, scale) tuples.
+
+        The adjoint pairs (a, b) with vector[a] > vector[b] and the vector
+        slots a with vector[a] < 0 index the factors of N and D; for a
+        minuscule coweight each contributes one factor (alpha, beta and
+        gamma are all 1).  The scale n ** len(slots) is the power of n by
+        which the integer ratio exceeds N / D.
+        """
+        out = []
+        for vector, rep in self.orbit():
+            pairs = tuple(
+                (a, b)
+                for a in range(self.n)
+                for b in range(self.n)
+                if vector[a] > vector[b]
+            )
+            slots = tuple(a for a in range(self.n) if vector[a] < 0)
+            out.append((vector, rep, pairs, slots, self.n ** len(slots)))
         return out
 
     def stabilizer_transpositions(self):
@@ -451,34 +496,26 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
-def sca_numerator(lam, phis, m):
-    """Numerator of the localization coefficient, at given weight values."""
-    value = Fraction(1)
-    n = len(lam)
-    for a in range(n):
-        if lam[a] < 0:
-            for alpha in range(1, -lam[a] + 1):
-                value *= phis[a] - alpha
-    for a in range(n):
-        for b in range(n):
-            diff = lam[a] - lam[b]
-            if diff > 0:
-                for beta in range(1, diff + 1):
-                    value *= phis[b] - phis[a] + m - beta
-    return value
+def monopole_factors(pairs, slots, weights, n, k):
+    """Integer numerator and denominator of one orbit term.
 
+    ``weights`` are the target's integer weights P_a = n * phi_a, and
+    ``pairs`` and ``slots`` come from ``MinusculeCoweight.orbit_factors``.
+    Returns N and D of the module docstring, each multiplied by n to the
+    number of its factors:
 
-def sca_denominator(lam, phis):
-    """Denominator (tangent Euler factor) of the localization coefficient."""
-    value = Fraction(1)
-    n = len(lam)
-    for a in range(n):
-        for b in range(n):
-            diff = lam[a] - lam[b]
-            if diff > 0:
-                for gamma in range(1, diff + 1):
-                    value *= phis[b] - phis[a] - gamma
-    return value
+        prod_{slots} (P_a - n) * prod_{pairs} (P_b - P_a - k - n),
+        prod_{pairs} (P_b - P_a - n).
+    """
+    numerator = 1
+    for a in slots:
+        numerator *= weights[a] - n
+    denominator = 1
+    for a, b in pairs:
+        gap = weights[b] - weights[a]
+        numerator *= gap - k - n
+        denominator *= gap - n
+    return numerator, denominator
 
 
 def minuscule_monopole(basis, coweight, dress=None):
@@ -490,7 +527,7 @@ def minuscule_monopole(basis, coweight, dress=None):
     """
     params = basis.params
     params.require_coprime()
-    n = params.n
+    n, k = params.n, params.k
     if not isinstance(coweight, MinusculeCoweight):
         coweight = MinusculeCoweight.from_vector(coweight)
     if coweight.n != n:
@@ -504,8 +541,19 @@ def minuscule_monopole(basis, coweight, dress=None):
             "dressing polynomial is not invariant under the coweight stabilizer"
         )
     shift = coweight.shift
-    orbit = coweight.orbit()
-    m = params.m
+    # f(phi) = f(P / n): integer terms over dress_scale, read through rep
+    dress_terms, dress_scale = dress.integer_form(n)
+    orbit = [
+        (
+            lam,
+            pairs,
+            slots,
+            scale * dress_scale,
+            [(c, [rep[i] for i in dslots]) for c, dslots in dress_terms],
+        )
+        for lam, rep, pairs, slots, scale in coweight.orbit_factors()
+    ]
+    offsets = [a * k for a in range(n)]
     blocks = {}
     for d in range(basis.max_degree - max(0, shift) + 1):
         source = basis.stratum(d)
@@ -513,24 +561,29 @@ def minuscule_monopole(basis, coweight, dress=None):
         target_dim = basis.dim(target_degree) if target_degree >= 0 else 0
         block = RatMat(target_dim, len(source))
         for j, label in enumerate(source):
-            for lam, rep in orbit:
+            for lam, pairs, slots, scale, dressing in orbit:
                 target = tuple(label[a] + lam[a] for a in range(n))
-                phis = phi_weights(target, params)
-                numerator = sca_numerator(lam, phis, m)
+                weights = [o - n * b for o, b in zip(offsets, target)]
+                numerator, denominator = monopole_factors(
+                    pairs, slots, weights, n, k
+                )
                 if is_admissible(target, params):
-                    denominator = sca_denominator(lam, phis)
                     # nonzero by weight separation, which needs gcd(n,k)=1
                     if not denominator:
                         raise InvariantError(
                             f"zero denominator for {label} -> {target}"
                         )
-                    value = (
-                        dress.evaluate(tuple(phis[rep[i]] for i in range(n)))
-                        * numerator
-                        / denominator
-                    )
-                    if value != 0:
-                        block[basis.index(target_degree, target), j] = value
+                    if numerator:
+                        value = 0
+                        for c, dslots in dressing:
+                            for a in dslots:
+                                c *= weights[a]
+                            value += c
+                        if value:
+                            i = basis.index(target_degree, target)
+                            block.entries[i, j] = Fraction(
+                                numerator * value, denominator * scale
+                            )
                 elif numerator:
                     # boundary vanishing: leaving the moduli kills the term
                     raise InvariantError(

@@ -218,6 +218,7 @@ def weyl_report(x, y, basis, max_check):
 
 def check_weyl_relation(run):
     run.params.require_coprime()
+    run.require_degree(2, "the Weyl relation is checked")
     return weyl_report(run.x, run.y, run.basis, run.max_degree - 2)
 
 

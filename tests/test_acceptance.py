@@ -7,6 +7,7 @@ are the two wall-clock budgets.
 
 import time
 from fractions import Fraction
+from math import comb, gcd
 
 from springer_rca import (
     Params,
@@ -23,7 +24,6 @@ from springer_rca import (
     operator_f,
     operator_x,
     operator_y,
-    phi_weights,
     Truncation,
     singular_vectors,
     verify_stabilizer,
@@ -31,7 +31,7 @@ from springer_rca import (
 from springer_rca.operators import (
     MinusculeCoweight,
     commutator,
-    sca_numerator,
+    monopole_factors,
 )
 from springer_rca.rank_two import lowest_weight
 from springer_rca.verify import (
@@ -78,6 +78,13 @@ def test_criterion_02_kernel_dimension():
         if summary.total != expected or summary.total != compactified_jacobian_dim(params):
             ok = False
     _finish(2, "dim ker Y equals C(n+k-1,n-1)/n", ok, f" totals={detail}")
+
+
+def test_kernel_dimension_sweep():
+    # criterion 02 on every coprime n <= 6, k <= 9 at the stabilization degree
+    for n, k in [(n, k) for n in range(1, 7) for k in range(1, 10) if gcd(n, k) == 1]:
+        total = kernel_y(Truncation(Params(n, k), (n - 1) * (k - 1) + n)).total
+        assert n * total == comb(n + k - 1, n - 1), (n, k, total)
 
 
 def test_criterion_03_singular_vector():
@@ -180,19 +187,18 @@ def test_criterion_11_boundary_vanishing():
         basis = build_graded_basis(params, max_degree)
         for sign in (1, -1):
             for r in range(1, n + 1):
-                orbit = MinusculeCoweight(sign, r, n).orbit()
+                orbit = MinusculeCoweight(sign, r, n).orbit_factors()
                 for d in basis.degrees():
                     for label in basis.stratum(d):
-                        for lam, _rep in orbit:
+                        for lam, _rep, pairs, slots, _scale in orbit:
                             target = tuple(
                                 label[a] + lam[a] for a in range(n)
                             )
                             if is_admissible(target, params):
                                 continue
                             checked += 1
-                            numerator = sca_numerator(
-                                lam, phi_weights(target, params), params.m
-                            )
+                            weights = [a * k - n * b for a, b in enumerate(target)]
+                            numerator, _ = monopole_factors(pairs, slots, weights, n, k)
                             if numerator != 0:
                                 ok = False
     _finish(11, "numerator vanishes on inadmissible targets", ok, f" ({checked} terms)")

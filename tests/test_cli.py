@@ -202,6 +202,19 @@ def test_verify_low_truncation_exits_4(capsys, suite, k, max_degree, required):
     assert f">= {required}," in err
 
 
+@pytest.mark.parametrize("max_degree", [0, 1])
+def test_verify_weyl_below_degree_2_exits_4(capsys, max_degree):
+    # the relation is compared on degrees 0..D-2, so D < 2 would certify nothing
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "weyl", "--n", "3", "--k", "4",
+        "--max-degree", str(max_degree),
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: under-truncation: ")
+    assert ">= 2," in err
+
+
 def _verify_payload(capsys, suite, n, k, max_degree):
     code, out, err = run_cli(
         capsys, "verify", "--suite", suite, "--n", str(n), "--k", str(k),

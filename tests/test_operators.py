@@ -1,8 +1,10 @@
 """Monopole operator coefficients, operator algebra, and dressing."""
 
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from springer_rca import (
     DimensionError,
@@ -27,7 +29,61 @@ from springer_rca import (
     operator_y,
     phi_weights,
 )
-from springer_rca.operators import sca_denominator, sca_numerator
+from springer_rca.operators import monopole_factors
+
+COPRIME_PAIRS = [(n, k) for n in range(1, 6) for k in range(1, 10) if gcd(n, k) == 1]
+
+
+def sca_numerator(lam, phis, m):
+    """Fraction reference: the numerator N of the localization coefficient."""
+    value = Fraction(1)
+    n = len(lam)
+    for a in range(n):
+        if lam[a] < 0:
+            for alpha in range(1, -lam[a] + 1):
+                value *= phis[a] - alpha
+    for a in range(n):
+        for b in range(n):
+            diff = lam[a] - lam[b]
+            if diff > 0:
+                for beta in range(1, diff + 1):
+                    value *= phis[b] - phis[a] + m - beta
+    return value
+
+
+def sca_denominator(lam, phis):
+    """Fraction reference: the denominator D (tangent Euler factor)."""
+    value = Fraction(1)
+    n = len(lam)
+    for a in range(n):
+        for b in range(n):
+            diff = lam[a] - lam[b]
+            if diff > 0:
+                for gamma in range(1, diff + 1):
+                    value *= phis[b] - phis[a] - gamma
+    return value
+
+
+def reference_monopole(basis, coweight, dress=None):
+    """Operator entries {(d, i, j): value} assembled over Fraction."""
+    p = basis.params
+    dress = DressPolynomial.one(p.n) if dress is None else dress
+    out = {}
+    for d in range(basis.max_degree - max(0, coweight.shift) + 1):
+        for j, label in enumerate(basis.stratum(d)):
+            for lam, rep in coweight.orbit():
+                target = tuple(a + l for a, l in zip(label, lam))
+                if not is_admissible(target, p):
+                    continue
+                phis = phi_weights(target, p)
+                value = (
+                    dress.evaluate(tuple(phis[rep[i]] for i in range(p.n)))
+                    * sca_numerator(lam, phis, p.m)
+                    / sca_denominator(lam, phis)
+                )
+                if value:
+                    out[d, basis.index(d + coweight.shift, target), j] = value
+    return out
 
 
 def test_bracket_pow_examples():
@@ -166,6 +222,77 @@ def test_boundary_vanishing(n, k, max_degree):
                         hits += 1
                         assert sca_numerator(lam, phi_weights(target, p), p.m) == 0
     assert hits > 0
+
+
+def _dressings(n, r):
+    """Stabilizer-invariant dressings: 1, e1, e2 and a slot-reading rational one."""
+    return [
+        None,
+        DressPolynomial.elementary(n, 1),
+        DressPolynomial.elementary(n, 2),
+        DressPolynomial.elementary(n, 1, range(r)).shift_all(Fraction(1, 2))
+        * Fraction(2, 3),
+    ]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_integer_kernel_matches_fraction_reference(data):
+    n, k = data.draw(st.sampled_from(COPRIME_PAIRS))
+    p = Params(n, k)
+    label = data.draw(st.sampled_from(enumerate_fixed_points(p, data.draw(st.integers(0, 12)))))
+    cw = MinusculeCoweight(data.draw(st.sampled_from((1, -1))), data.draw(st.integers(1, n)), n)
+    dress = data.draw(st.sampled_from(_dressings(n, cw.r)))
+    lam, rep, pairs, slots, scale = data.draw(st.sampled_from(cw.orbit_factors()))
+    target = tuple(a + l for a, l in zip(label, lam))
+    weights = [a * k - n * b for a, b in enumerate(target)]  # n * phi
+    numerator, denominator = monopole_factors(pairs, slots, weights, n, k)
+    phis = phi_weights(target, p)
+    if not is_admissible(target, p):
+        assert numerator == 0
+        assert sca_numerator(lam, phis, p.m) == 0
+        return
+    dress = DressPolynomial.one(n) if dress is None else dress
+    terms, dress_scale = dress.integer_form(n)
+    dressing = sum(c * prod(weights[rep[i]] for i in dslots) for c, dslots in terms)
+    expected = (
+        dress.evaluate(tuple(phis[rep[i]] for i in range(n)))
+        * sca_numerator(lam, phis, p.m)
+        / sca_denominator(lam, phis)
+    )
+    assert Fraction(numerator * dressing, denominator * scale * dress_scale) == expected
+
+
+def test_integer_form_of_rational_dressing():
+    f = DressPolynomial(2, {(2, 0): Fraction(1, 3), (0, 1): Fraction(-1, 2), (0, 0): 5})
+    terms, denominator = f.integer_form(3)
+    for x in [(0, 0), (1, -2), (7, 4), (-5, 11)]:
+        value = sum(c * prod(x[i] for i in slots) for c, slots in terms)
+        assert Fraction(value, denominator) == f.evaluate(tuple(Fraction(v, 3) for v in x))
+    assert DressPolynomial(2).integer_form(3) == ([], 1)
+
+
+def _entries(op):
+    return {
+        (d, i, j): value
+        for d, block in op.blocks.items()
+        for (i, j), value in block.entries.items()
+    }
+
+
+@pytest.mark.parametrize("n,k", COPRIME_PAIRS)
+def test_operators_match_fraction_reference_assembly(n, k):
+    # every (sign, r) undressed at D = 12, and with each dressing at D = 8
+    params = Params(n, k)
+    basis, small = build_graded_basis(params, 12), build_graded_basis(params, 8)
+    for sign in (1, -1):
+        for r in range(1, n + 1):
+            cw = MinusculeCoweight(sign, r, n)
+            got = _entries(minuscule_monopole(basis, cw))
+            assert got == reference_monopole(basis, cw), (sign, r)
+            for dress in _dressings(n, r)[1:]:
+                got = _entries(minuscule_monopole(small, cw, dress))
+                assert got == reference_monopole(small, cw, dress), (sign, r, dress)
 
 
 def test_commutator_examples():

@@ -99,6 +99,13 @@ def test_weyl_relation_passes(n, k, D):
     assert report.witness is None
 
 
+@pytest.mark.parametrize("D", [0, 1])
+def test_weyl_relation_requires_degree_2(D):
+    with pytest.raises(UnderTruncationError) as info:
+        check_weyl_relation(Truncation(Params(3, 4), D))
+    assert info.value.required_degree == 2
+
+
 def test_weyl_relation_fault_injection():
     # corrupt one Y entry and demand a concrete witness
     basis = build_graded_basis(Params(2, 3), 6)
@@ -347,21 +354,21 @@ def test_verified_nullspace_check_survives_optimize_flag():
     assert result.stdout.strip() == "raised"
 
 
-def _nonvanishing_numerator(lam, phis, m):
-    return Fraction(1)
+def _nonvanishing_factors(pairs, slots, weights, n, k):
+    return 1, 1
 
 
 def test_boundary_vanishing_violation_raises(monkeypatch):
     # with a numerator that never vanishes, X's terms to inadmissible targets
     # such as |1, 0> (from the vacuum) must be refused
-    monkeypatch.setattr(operators, "sca_numerator", _nonvanishing_numerator)
+    monkeypatch.setattr(operators, "monopole_factors", _nonvanishing_factors)
     basis = build_graded_basis(Params(2, 3), 4)
     with pytest.raises(InvariantError, match="leaves the moduli"):
         minuscule_monopole(basis, (1, 0))
 
 
 def test_boundary_vanishing_violation_exits_5(monkeypatch, capsys):
-    monkeypatch.setattr(operators, "sca_numerator", _nonvanishing_numerator)
+    monkeypatch.setattr(operators, "monopole_factors", _nonvanishing_factors)
     code = main(["verify", "--suite", "weyl", "--n", "2", "--k", "3", "--max-degree", "4"])
     captured = capsys.readouterr()
     assert code == 5
@@ -371,10 +378,9 @@ def test_boundary_vanishing_violation_exits_5(monkeypatch, capsys):
 
 def test_boundary_vanishing_check_survives_optimize_flag():
     code = (
-        "from fractions import Fraction\n"
         "from springer_rca import InvariantError, Params, build_graded_basis\n"
         "from springer_rca import operators\n"
-        "operators.sca_numerator = lambda lam, phis, m: Fraction(1)\n"
+        "operators.monopole_factors = lambda pairs, slots, weights, n, k: (1, 1)\n"
         "try:\n"
         "    operators.minuscule_monopole(build_graded_basis(Params(2, 3), 4), (1, 0))\n"
         "except InvariantError:\n"
@@ -383,6 +389,21 @@ def test_boundary_vanishing_check_survives_optimize_flag():
     result = _run_python(code, "-O")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "raised"
+
+
+def test_zero_denominator_check_survives_optimize_flag():
+    code = (
+        "from springer_rca import InvariantError, Params, build_graded_basis\n"
+        "from springer_rca import operators\n"
+        "operators.monopole_factors = lambda pairs, slots, weights, n, k: (0, 0)\n"
+        "try:\n"
+        "    operators.minuscule_monopole(build_graded_basis(Params(2, 3), 4), (1, 0))\n"
+        "except InvariantError as exc:\n"
+        "    print(exc)\n"
+    )
+    result = _run_python(code, "-O")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("zero denominator for ")
 
 
 def test_verify_all_runs_without_sympy():
