@@ -4,7 +4,9 @@ A (monomial) ideal of the coordinate ring corresponds to a subset D of the
 semigroup G = <n, k> with G + D contained in D; it is determined by its
 finite gap set G \\ D.  Counting gap sets of size m is a purely arithmetic
 computation that never touches the cocharacter combinatorics, which is what
-makes it a useful cross-check of the fixed-point counts.
+makes it a useful cross-check of the fixed-point counts.  One depth-first
+search lists every gap set of size at most m exactly once, so one search
+per run counts every colength up to the truncation.
 """
 
 from __future__ import annotations
@@ -80,13 +82,18 @@ class SemigroupIdeal:
 
 
 def enumerate_gap_sets(n, k, m, budget=DEFAULT_BUDGET):
-    """All gap sets of size m, by depth-first search over the finite window.
+    """Every gap set of colength at most m, each once, from one search.
 
-    Any gap set of size m lives inside [0, F + m*n] where F is the Frobenius
-    number: above that window a gap would force a chain of more than m gaps
-    by repeatedly subtracting n.  Elements are scanned in increasing order;
-    including one requires that g - n and g - k (when in the semigroup) were
-    already included, which is exactly stability of the complement.
+    A gap set of colength at most m lies in [0, F + m*n], F the Frobenius
+    number: above it a gap would force a chain of more than m gaps by
+    subtracting n.  A set of semigroup elements is a gap set exactly when it
+    holds the in-semigroup predecessors g - n and g - k of each element g.
+    These are smaller than g, so each prefix of a gap set listed in
+    increasing order is a gap set, and that listing is the one depth-first
+    path to it: a node records its set, then extends it by each later
+    element whose predecessors it holds.  Past max(g, F) + n, g the largest
+    chosen element, every element has its g - n in the semigroup but not
+    chosen, so the scan stops there.  Colengths come mixed.
     """
     semigroup = NumericalSemigroup(n, k)
     if m < 0:
@@ -95,43 +102,46 @@ def enumerate_gap_sets(n, k, m, budget=DEFAULT_BUDGET):
         raise SearchBudgetError(
             f"colength {m} exceeds the search budget {budget}"
         )
-    if m == 0:
-        return [SemigroupIdeal(frozenset())]
-    window = semigroup.elements_up_to(semigroup.frobenius + m * n)
+    frobenius = semigroup.frobenius
+    window = semigroup.elements_up_to(frobenius + m * n)
+    members = set(window)
+    predecessors = [
+        [g - step for step in (n, k) if g - step in members] for g in window
+    ]
     found = []
 
-    def search(idx, chosen):
+    def search(start, chosen, reach):
+        found.append(SemigroupIdeal(frozenset(chosen)))
         if len(chosen) == m:
-            found.append(SemigroupIdeal(frozenset(chosen)))
             return
-        if idx == len(window) or len(window) - idx < m - len(chosen):
-            return
-        g = window[idx]
-        allowed = all(
-            g - step not in semigroup or (g - step) in chosen
-            for step in (n, k)
-        )
-        if allowed:
-            chosen.add(g)
-            search(idx + 1, chosen)
-            chosen.remove(g)
-        search(idx + 1, chosen)
+        for idx in range(start, len(window)):
+            g = window[idx]
+            if g > reach:
+                break
+            if all(p in chosen for p in predecessors[idx]):
+                chosen.add(g)
+                search(idx + 1, chosen, max(g, frobenius) + n)
+                chosen.remove(g)
 
-    search(0, set())
+    search(0, set(), frobenius + n)
     return found
 
 
 def count_ideals(n, k, m, budget=DEFAULT_BUDGET):
-    """Number of semigroup ideals of colength m."""
-    ideals = enumerate_gap_sets(n, k, m, budget=budget)
+    """Numbers of semigroup ideals of colength 0, 1, ..., m, from one search.
+
+    Each gap set is re-verified against the definition of stability before
+    it is counted; one that fails raises ``InvariantError``.
+    """
     semigroup = NumericalSemigroup(n, k)
-    # every candidate re-verified against the definition of stability
-    for ideal in ideals:
+    counts = [0] * (m + 1)
+    for ideal in enumerate_gap_sets(n, k, m, budget=budget):
         if not ideal.is_stable(semigroup):
             raise InvariantError(
                 f"gap set {sorted(ideal.gaps)} of <{n}, {k}> is not stable"
             )
-    return len(ideals)
+        counts[ideal.colength] += 1
+    return counts
 
 
 def compare_with_fixed_points(params, max_degree, budget=DEFAULT_BUDGET):
@@ -144,13 +154,11 @@ def compare_with_fixed_points(params, max_degree, budget=DEFAULT_BUDGET):
     from .verify import VerificationReport
 
     params.require_coprime()
-    counts_ideals = []
+    counts_ideals = count_ideals(params.n, params.k, max_degree, budget=budget)
     counts_points = []
     witness = None
-    for d in range(max_degree + 1):
-        a = count_ideals(params.n, params.k, d, budget=budget)
+    for d, a in enumerate(counts_ideals):
         b = len(enumerate_fixed_points(params, d))
-        counts_ideals.append(a)
         counts_points.append(b)
         if a != b and witness is None:
             witness = {"degree": d, "ideal_count": a, "fixed_point_count": b}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .core import build_graded_basis, stabilizer_cocharacter
 from .errors import DimensionError, InvariantError, UnderTruncationError
@@ -216,9 +217,14 @@ def weyl_report(x, y, basis, max_check):
     )
 
 
+def weyl_degree(params):
+    """Least truncation of the Weyl check, which compares degrees 0..D-2."""
+    return 2
+
+
 def check_weyl_relation(run):
     run.params.require_coprime()
-    run.require_degree(2, "the Weyl relation is checked")
+    run.require_degree(weyl_degree(run.params), "the Weyl relation is checked")
     return weyl_report(run.x, run.y, run.basis, run.max_degree - 2)
 
 
@@ -288,10 +294,15 @@ def _casimir_witness(casimir, basis, ell):
     return None
 
 
+def sl2_degree(params):
+    """Least truncation of the rank-two relations check."""
+    return 1
+
+
 def check_sl2_and_casimir(run):
     """All rank-two commutators, the Casimir eigenvalues, and the cubic relation."""
     run.params.require_rank_two()
-    run.require_degree(1, "the rank-two relations are checked")
+    run.require_degree(sl2_degree(run.params), "the rank-two relations are checked")
     checked = []
     for name, witness in _rank_two_relations(run):
         if witness:
@@ -618,10 +629,15 @@ def check_character_identity(run):
     )
 
 
+def appendix_b_degree(params):
+    """Least truncation at which the lowest-weight count is complete."""
+    return params.k + 1
+
+
 def check_appendix_b(run):
     """Rank-two closed forms, explicit kernel vectors of Y, and lowest weights."""
     run.params.require_rank_two()
-    run.require_degree(run.params.k + 1, "the lowest-weight count stabilizes")
+    run.require_degree(appendix_b_degree(run.params), "the lowest-weight count stabilizes")
     reports = [
         check_closed_forms(run),
         check_y_kernel_vectors(run),
@@ -649,20 +665,39 @@ def _within_oracle_budget(run):
     return run.max_degree <= semigroup.DEFAULT_BUDGET
 
 
-# name -> (applies(run)?, check(run)), in report order.  ``verify --suite
-# all`` runs the suites that apply and lists the rest as skipped.  The
+def _no_degree(params):
+    return 0
+
+
+class Suite(NamedTuple):
+    """One entry of ``SUITES``.
+
+    ``applies(run)`` says whether the parameters and the oracle's budget
+    allow the suite, ``least_degree(params)`` is the least ``max_degree`` at
+    which its check certifies anything (the check's own guard reads the same
+    function), and ``check(run)`` returns its report.
+    """
+
+    applies: Callable
+    least_degree: Callable
+    check: Callable
+
+
+# name -> Suite, in report order.  ``verify --suite all`` runs the suites
+# that apply and reach their least degree, and lists the rest as skipped.  The
 # lambdas look each check up when called, so a rebinding of a module name
 # (a tracing wrapper, a test double) takes effect.
 SUITES = {
-    "weyl": (_any, lambda run: check_weyl_relation(run)),
-    "sl2": (_rank_two, lambda run: check_sl2_and_casimir(run)),
-    "singular": (_any, lambda run: check_singular_vectors(run)),
-    "kernel-y": (_any, lambda run: check_kernel_y(run)),
-    "appendix-b": (_rank_two, lambda run: check_appendix_b(run)),
-    "stabilizer": (_any, lambda run: verify_stabilizer(run.params)),
-    "euler": (_any, lambda run: check_character_identity(run)),
-    "oracle": (
+    "weyl": Suite(_any, weyl_degree, lambda run: check_weyl_relation(run)),
+    "sl2": Suite(_rank_two, sl2_degree, lambda run: check_sl2_and_casimir(run)),
+    "singular": Suite(_any, _no_degree, lambda run: check_singular_vectors(run)),
+    "kernel-y": Suite(_any, stabilization_degree, lambda run: check_kernel_y(run)),
+    "appendix-b": Suite(_rank_two, appendix_b_degree, lambda run: check_appendix_b(run)),
+    "stabilizer": Suite(_any, _no_degree, lambda run: verify_stabilizer(run.params)),
+    "euler": Suite(_any, _no_degree, lambda run: check_character_identity(run)),
+    "oracle": Suite(
         _within_oracle_budget,
+        _no_degree,
         lambda run: semigroup.compare_with_fixed_points(run.params, run.max_degree),
     ),
 }
@@ -672,13 +707,19 @@ def run_suite(name, run):
     """Run one named verification suite on the shared truncation ``run``."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name][1](run)
+    return SUITES[name].check(run)
 
 
 def applicable_suites(run):
     """Suites that ``verify --suite all`` runs on this truncation.
 
     The rank-two suites need n = 2 and odd k; the oracle's ideal search
-    stops at colength ``semigroup.DEFAULT_BUDGET``.
+    stops at colength ``semigroup.DEFAULT_BUDGET``; and a suite is left out
+    below its least degree, where its check would stop the run with an
+    under-truncation error.  All of this is decided before any suite runs.
     """
-    return [name for name, (applies, _) in SUITES.items() if applies(run)]
+    return [
+        name
+        for name, suite in SUITES.items()
+        if suite.applies(run) and suite.least_degree(run.params) <= run.max_degree
+    ]

@@ -240,6 +240,25 @@ def test_verify_all_skips_oracle_past_its_budget(capsys):
     assert payload["results"]["skipped_suites"] == ["sl2", "appendix-b", "oracle"]
 
 
+def test_verify_all_skips_suites_below_their_least_degree(capsys):
+    code, payload, err = _verify_payload(capsys, "all", 3, 4, 1)
+    assert code == 0, err
+    assert payload["results"]["skipped_suites"] == ["weyl", "sl2", "kernel-y", "appendix-b"]
+    assert [entry["suite"] for entry in payload["results"]["suites"]] == [
+        "singular", "stabilizer", "euler", "oracle",
+    ]
+    assert payload["results"]["all_passed"] is True
+
+
+def test_verify_all_7_8_24_skips_kernel_y(capsys):
+    # the stabilization degree of (7, 8) is 49: kernel-y is skipped up front
+    code, payload, err = _verify_payload(capsys, "all", 7, 8, 24)
+    assert code == 0, err
+    assert payload["results"]["skipped_suites"] == ["sl2", "kernel-y", "appendix-b"]
+    assert payload["results"]["all_passed"] is True
+    assert payload["results"]["suites"][-1]["suite"] == "oracle"
+
+
 def test_verify_oracle_alone_past_its_budget_exits_2(capsys):
     code, payload, err = _verify_payload(capsys, "oracle", 2, 3, 25)
     assert code == 2

@@ -1,6 +1,9 @@
 """Numerical semigroup ideal counting, the independent oracle."""
 
+from math import gcd
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from springer_rca import (
     NumericalSemigroup,
@@ -11,6 +14,34 @@ from springer_rca import (
     count_ideals,
 )
 from springer_rca.semigroup import enumerate_gap_sets
+
+
+def reference_gap_sets(n, k, m):
+    """All gap sets of size exactly m: the per-colength search one pass replaces.
+
+    An include/exclude depth-first search over the semigroup elements of
+    [0, F + m*n] in increasing order; an element may be included only when
+    g - n and g - k, where in the semigroup, already are.
+    """
+    semigroup = NumericalSemigroup(n, k)
+    window = semigroup.elements_up_to(semigroup.frobenius + m * n)
+    found = []
+
+    def search(idx, chosen):
+        if len(chosen) == m:
+            found.append(frozenset(chosen))
+            return
+        if idx == len(window) or len(window) - idx < m - len(chosen):
+            return
+        g = window[idx]
+        if all(g - step not in semigroup or g - step in chosen for step in (n, k)):
+            chosen.add(g)
+            search(idx + 1, chosen)
+            chosen.remove(g)
+        search(idx + 1, chosen)
+
+    search(0, set())
+    return found
 
 
 def test_membership_and_frobenius():
@@ -29,16 +60,20 @@ def test_non_coprime_rejected():
 
 
 def test_count_examples():
-    assert count_ideals(2, 3, 0) == 1
-    assert count_ideals(2, 3, 1) == 1
-    assert count_ideals(2, 3, 2) == 2
+    assert count_ideals(2, 3, 0) == [1]
+    assert count_ideals(2, 3, 1) == [1, 1]
+    assert count_ideals(2, 3, 2) == [1, 1, 2]
 
 
 def test_gap_sets_explicit_small():
     # colength 1 forces removing 0; colength 2 removes {0,2} or {0,3}
-    [only] = enumerate_gap_sets(2, 3, 1)
-    assert only.gaps == frozenset({0})
-    pair = {ideal.gaps for ideal in enumerate_gap_sets(2, 3, 2)}
+    assert [ideal.gaps for ideal in enumerate_gap_sets(2, 3, 1)] == [
+        frozenset(),
+        frozenset({0}),
+    ]
+    ideals = enumerate_gap_sets(2, 3, 2)
+    assert len(ideals) == 4
+    pair = {ideal.gaps for ideal in ideals if ideal.colength == 2}
     assert pair == {frozenset({0, 2}), frozenset({0, 3})}
 
 
@@ -48,14 +83,35 @@ def test_enumerated_ideals_are_stable(n, k):
     for m in range(6):
         ideals = enumerate_gap_sets(n, k, m)
         assert len({ideal.gaps for ideal in ideals}) == len(ideals)
+        assert {ideal.colength for ideal in ideals} == set(range(m + 1))
         for ideal in ideals:
-            assert ideal.colength == m
             assert ideal.is_stable(gamma)
+
+
+@st.composite
+def coprime_cases(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 11).filter(lambda k: gcd(n, k) == 1))
+    return n, k, draw(st.integers(0, 10))
+
+
+@settings(deadline=None, max_examples=200)
+@given(coprime_cases())
+def test_one_pass_matches_per_colength_reference(case):
+    n, k, m = case
+    by_colength = {j: [] for j in range(m + 1)}
+    for ideal in enumerate_gap_sets(n, k, m):
+        by_colength[ideal.colength].append(ideal.gaps)
+    for j, gap_sets in by_colength.items():
+        assert len(set(gap_sets)) == len(gap_sets)
+        assert set(gap_sets) == set(reference_gap_sets(n, k, j))
+    assert count_ideals(n, k, m) == [len(by_colength[j]) for j in range(m + 1)]
 
 
 def test_budget_error():
     with pytest.raises(SearchBudgetError):
         count_ideals(2, 3, 7, budget=6)
+    assert len(count_ideals(2, 3, 6, budget=6)) == 7
 
 
 def test_compare_with_fixed_points_examples():

@@ -12,9 +12,11 @@ import pytest
 from springer_rca import (
     InvariantError,
     Params,
+    SemigroupIdeal,
     UnderTruncationError,
     UnsupportedParametersError,
     build_graded_basis,
+    count_ideals,
     finite_part_character,
     kernel_y,
     lowest_weight_decomposition,
@@ -28,6 +30,7 @@ from springer_rca.cli import main
 from springer_rca.linalg import RatMat
 from springer_rca.operators import DressPolynomial, minuscule_monopole, operator_f
 from springer_rca.verify import (
+    SUITES,
     Truncation,
     _verified_nullspace,
     applicable_suites,
@@ -41,6 +44,7 @@ from springer_rca.verify import (
     check_y_kernel_vectors,
     VerificationReport,
     run_suite,
+    stabilization_degree,
     stabilizer_witness,
     verify_stabilizer,
     weyl_report,
@@ -291,6 +295,41 @@ def test_applicable_suites_filtering():
     names = applicable_suites(Truncation(Params(3, 4), 10))
     assert "sl2" not in names and "appendix-b" not in names
     assert "weyl" in names
+    # below its least degree a suite is skipped, not run into exit 4
+    assert applicable_suites(Truncation(Params(3, 4), 1)) == [
+        "singular", "stabilizer", "euler", "oracle",
+    ]
+    assert applicable_suites(Truncation(Params(2, 5), 5)) == [
+        "weyl", "sl2", "singular", "stabilizer", "euler", "oracle",
+    ]
+    assert "kernel-y" not in applicable_suites(Truncation(Params(7, 8), 24))
+
+
+def test_suites_carry_their_least_degree():
+    for params in (Params(2, 5), Params(3, 4)):
+        least = {name: suite.least_degree(params) for name, suite in SUITES.items()}
+        assert least == {
+            "weyl": 2,
+            "sl2": 1,
+            "singular": 0,
+            "kernel-y": stabilization_degree(params),
+            "appendix-b": params.k + 1,
+            "stabilizer": 0,
+            "euler": 0,
+            "oracle": 0,
+        }
+
+
+@pytest.mark.parametrize("n,k", [(2, 5), (3, 4)])
+def test_check_guards_read_the_least_degree(n, k):
+    params = Params(n, k)
+    for name in applicable_suites(Truncation(params, 24)):
+        least = SUITES[name].least_degree(params)
+        if least > 0:
+            with pytest.raises(UnderTruncationError) as info:
+                run_suite(name, Truncation(params, least - 1))
+            assert info.value.required_degree == least, name
+        assert run_suite(name, Truncation(params, least)).passed, name
 
 
 def test_report_status_follows_witness():
@@ -404,6 +443,44 @@ def test_zero_denominator_check_survives_optimize_flag():
     result = _run_python(code, "-O")
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("zero denominator for ")
+
+
+def _never_stable(ideal, semigroup):
+    return False
+
+
+def test_unstable_gap_set_raises(monkeypatch):
+    monkeypatch.setattr(SemigroupIdeal, "is_stable", _never_stable)
+    with pytest.raises(InvariantError, match="is not stable"):
+        count_ideals(2, 3, 2)
+
+
+def test_unstable_gap_set_exits_5(monkeypatch, capsys):
+    monkeypatch.setattr(SemigroupIdeal, "is_stable", _never_stable)
+    code = main(["verify", "--suite", "oracle", "--n", "3", "--k", "4", "--max-degree", "6"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err.startswith("error: invariant violated: ")
+
+
+def test_stability_check_survives_optimize_flag():
+    code = (
+        "import sys\n"
+        "from springer_rca import InvariantError, SemigroupIdeal, count_ideals\n"
+        "from springer_rca.cli import main\n"
+        "SemigroupIdeal.is_stable = lambda ideal, semigroup: False\n"
+        "try:\n"
+        "    count_ideals(2, 3, 2)\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+        "sys.exit(main(['verify', '--suite', 'oracle', '--n', '3', '--k', '4',\n"
+        "               '--max-degree', '6']))\n"
+    )
+    result = _run_python(code, "-O")
+    assert result.returncode == 5, result.stderr
+    assert result.stdout.strip() == "raised"
+    assert "is not stable" in result.stderr
 
 
 def test_verify_all_runs_without_sympy():
