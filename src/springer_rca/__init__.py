@@ -13,10 +13,8 @@ from .core import (
     Params,
     StabilizerCocharacter,
     build_graded_basis,
-    degree,
     enumerate_fixed_points,
     is_admissible,
-    phi_weights,
     stabilizer_cocharacter,
 )
 from .errors import (
@@ -32,17 +30,10 @@ from .operators import (
     DressPolynomial,
     GradedOperator,
     MinusculeCoweight,
-    abelian_monopole_coeff,
-    bracket_pow,
     commutator,
-    excess_factor,
     identity_operator,
     minuscule_monopole,
-    operator_e,
-    operator_f,
     operator_h,
-    operator_x,
-    operator_y,
 )
 from .qseries import (
     QPolynomial,

@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import __version__
-from .core import Params, build_graded_basis, enumerate_fixed_points
+from .core import Params
 from .errors import (
     InvariantError,
     SearchBudgetError,
@@ -24,16 +24,7 @@ from .errors import (
     UnderTruncationError,
     UnsupportedParametersError,
 )
-from .operators import (
-    DressPolynomial,
-    commutator,
-    minuscule_monopole,
-    operator_e,
-    operator_f,
-    operator_h,
-    operator_x,
-    operator_y,
-)
+from .operators import DressPolynomial, commutator, minuscule_monopole
 from .verify import SUITES, Truncation, applicable_suites, run_suite
 
 EXIT_OK = 0
@@ -96,7 +87,7 @@ def _build_parser():
     p_verify.add_argument(
         "--suite", choices=(*SUITES, "all"), default=None, help="suite name"
     )
-    return parser
+    return parser, sub.choices
 
 
 def _load_config(path):
@@ -113,27 +104,33 @@ def _load_config(path):
     return values
 
 
-_INT_KEYS = {"n", "k", "max_degree", "r"}
+def _config_value(action, key, value):
+    """A config value through the same type and choices as its flag."""
+    if action.type is not None:
+        try:
+            value = action.type(value)
+        except ValueError:
+            raise UsageError(
+                f"config key {key!r} must be an integer, got {value!r}"
+            ) from None
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(
+            f"config key {key!r} must be one of {', '.join(action.choices)}, "
+            f"got {value!r}"
+        )
+    return value
 
 
-def _integer(value, what):
-    try:
-        return int(value)
-    except ValueError:
-        raise UsageError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _merge_config(args):
+def _merge_config(args, command_parser):
+    """Fill the options left unset from the config file; flags win."""
     if not args.config:
         return args
-    config = _load_config(args.config)
-    for key, value in config.items():
+    actions = {action.dest: action for action in command_parser._actions}
+    for key, value in _load_config(args.config).items():
         if not hasattr(args, key):
             raise UsageError(f"unknown config key {key!r}")
         if getattr(args, key) is None:
-            if key in _INT_KEYS:
-                value = _integer(value, f"config key {key!r}")
-            setattr(args, key, value)
+            setattr(args, key, _config_value(actions[key], key, value))
     return args
 
 
@@ -184,9 +181,7 @@ def _payload(args, command, results):
 def cmd_fixed_points(args):
     params = _params(args)
     _require(args, "max_degree")
-    strata = [
-        enumerate_fixed_points(params, d) for d in range(args.max_degree + 1)
-    ]
+    strata = Truncation(params, args.max_degree).basis.strata
     results = {
         "counts": [len(s) for s in strata],
         "strata": [
@@ -205,62 +200,48 @@ def cmd_fixed_points(args):
 def _dress_polynomial(name, n):
     if name in (None, "1"):
         return None
-    if name == "e1":
-        return DressPolynomial.elementary(n, 1)
-    if name == "e2":
-        return DressPolynomial.elementary(n, 2)
-    raise UsageError(f"unknown dressing {name!r}")
+    return DressPolynomial.elementary(n, {"e1": 1, "e2": 2}[name])
 
 
-def _build_operator(args, basis):
-    params = basis.params
+def _build_operator(args, run):
+    """The operator named by ``--op``, read from ``run``'s operators."""
+    n = run.params.n
     name = args.op
-    dressable = name in ("Er", "Fr", "monopole")
-    if args.dress not in (None, "1") and not dressable:
+    if args.dress not in (None, "1") and name not in ("Er", "Fr", "monopole"):
         raise UsageError(f"operator {name} does not take a dressing")
-    dress = _dress_polynomial(args.dress, params.n)
-    if name == "X":
-        return operator_x(basis)
-    if name == "Y":
-        return operator_y(basis)
-    if name in ("E", "F", "H"):
-        params.require_rank_two()
-        if name == "E":
-            return operator_e(basis, 2)
-        if name == "F":
-            return operator_f(basis, 2).scaled(-1)
-        return operator_h(basis)
+    dress = _dress_polynomial(args.dress, n)
     if name in ("Er", "Fr"):
         _require(args, "r")
-        if not 1 <= args.r <= params.n:
-            raise UsageError(f"--r must lie in [1, {params.n}]")
-        builder = operator_e if name == "Er" else operator_f
-        return builder(basis, args.r, dress)
+        if not 1 <= args.r <= n:
+            raise UsageError(f"--r must lie in [1, {n}]")
+        return run.monopole(1 if name == "Er" else -1, args.r, dress)
     if name == "monopole":
+        # the raw coweight route: the dressing is evaluated at phi as given
         if args.coweight is None:
             raise UsageError("--op monopole requires --coweight")
         try:
             vector = tuple(int(x) for x in args.coweight.split(","))
         except ValueError:
             raise UsageError(f"cannot parse coweight {args.coweight!r}")
-        if len(vector) != params.n:
-            raise UsageError(f"coweight must have length n = {params.n}")
+        if len(vector) != n:
+            raise UsageError(f"coweight must have length n = {n}")
         try:
-            return minuscule_monopole(basis, vector, dress)
+            return minuscule_monopole(run.basis, vector, dress)
         except ValueError as exc:
             if isinstance(exc, SpringerRcaError):
                 raise
             raise UsageError(str(exc))
     if name == "commutator-XY":
-        return commutator(operator_x(basis), operator_y(basis))
-    raise UsageError(f"unknown operator {name!r}")
+        return commutator(run.x, run.y)
+    return getattr(run, name.lower())  # X, Y, E, F or H
 
 
 def cmd_operator(args):
     params = _params(args)
     _require(args, "max_degree", "op")
-    basis = build_graded_basis(params, args.max_degree)
-    op = _build_operator(args, basis)
+    # a non-coprime (n, k) is reported before any check on the operator
+    params.require_coprime()
+    op = _build_operator(args, Truncation(params, args.max_degree))
     blocks = []
     csv_rows = [("degree", "row", "col", "value")]
     for d in sorted(op.blocks):
@@ -311,13 +292,13 @@ def cmd_verify(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, command_parsers = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        args = _merge_config(args)
+        args = _merge_config(args, command_parsers[args.command])
         if args.max_degree is not None and args.max_degree < 0:
             raise UsageError("--max-degree must be nonnegative")
         if args.command == "fixed-points":

@@ -1,4 +1,4 @@
-"""Singularity parameters, torus fixed points, and equivariant weights.
+"""Singularity parameters, torus fixed points, and the stabilizer cocharacter.
 
 The curve germ is x^n = t^k.  Torus fixed points of the associated moduli of
 ideals are labeled by integer vectors A = (A_1, ..., A_n) satisfying
@@ -16,8 +16,6 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DimensionError, TruncationError, UnsupportedParametersError
-
-Cocharacter = tuple  # length-n tuple of ints
 
 
 @dataclass(frozen=True)
@@ -60,11 +58,6 @@ class Params:
             raise UnsupportedParametersError(
                 f"this operation requires n = 2 and odd k, got ({self.n}, {self.k})"
             )
-
-
-def degree(entries) -> int:
-    """Number of points d(A) of the Hilbert scheme stratum labeled by A."""
-    return sum(entries)
 
 
 def is_admissible(entries, params: Params) -> bool:
@@ -147,10 +140,6 @@ class GradedBasis:
     def degrees(self):
         return range(self.max_degree + 1)
 
-    def total_dim(self) -> int:
-        return sum(len(s) for s in self.strata)
-
-
 def build_graded_basis(params: Params, max_degree: int) -> GradedBasis:
     """Enumerate strata for all degrees 0..max_degree."""
     if max_degree < 0:
@@ -162,21 +151,6 @@ def build_graded_basis(params: Params, max_degree: int) -> GradedBasis:
         {entries: i for i, entries in enumerate(stratum)} for stratum in strata
     )
     return GradedBasis(params=params, max_degree=max_degree, strata=strata, _index=index)
-
-
-def phi_weights(entries, params: Params) -> tuple:
-    """Equivariant weights of the fixed-point class labeled by A.
-
-    The a-th component is (a-1)*k/n - A_a (with hbar = 1).  For coprime
-    (n, k) the differences phi_a - phi_b (a != b) are never integers, which
-    keeps all localization denominators nonzero.
-    """
-    if len(entries) != params.n:
-        raise DimensionError(
-            f"cocharacter has length {len(entries)}, expected n = {params.n}"
-        )
-    kn = Fraction(params.k, params.n)
-    return tuple((a * kn) - entries[a] for a in range(params.n))
 
 
 @dataclass(frozen=True)

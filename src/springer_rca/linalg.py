@@ -120,9 +120,6 @@ class RatMat:
             return NotImplemented
         return self.shape == other.shape and self.entries == other.entries
 
-    def __hash__(self):
-        return hash((self.shape, frozenset(self.entries.items())))
-
     def __repr__(self):
         return f"RatMat({self.nrows}x{self.ncols}, {len(self.entries)} entries)"
 

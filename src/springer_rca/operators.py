@@ -19,11 +19,16 @@ as integers; their ratio differs from N / D by n^#vector factors, a power
 fixed by the coweight.  Only the stored entry itself is a Fraction.
 
 Evaluating every factor at the *target* weights is the convention that
-reproduces the closed rank-two formulas; the equivalent source-side route
-goes through ``excess_factor`` (the numerator above, evaluated at the target,
-equals the excess factor of the source point).  Whenever the target leaves
-the admissible region the numerator vanishes identically, so the operator
-never maps outside the moduli; this is checked, not assumed.
+reproduces the closed rank-two formulas.  The numerator above, evaluated at
+the target, equals the excess intersection factor of the source point; the
+tests keep that source-side route as a reference and compare the two.
+Whenever the target leaves the admissible region the numerator vanishes
+identically, so the operator never maps outside the moduli; this is
+checked, not assumed.
+
+The named operators X, Y, E, F, H and the dressed E_r[f], F_r[f] are read
+from ``verify.Truncation``, which alone applies the lowering family's hbar
+twist and the sign of F.
 """
 
 from __future__ import annotations
@@ -33,79 +38,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 
-from .core import is_admissible, phi_weights
+from .core import is_admissible
 from .errors import DimensionError, InvariantError, TruncationError
 from .linalg import RatMat
-
-
-def bracket_pow(x, r):
-    """Rising/falling product [x]^r with unit step.
-
-    r > 0 gives x(x+1)...(x+r-1), r = 0 gives 1, and r < 0 gives
-    (x-1)(x-2)...(x-|r|).
-    """
-    x = Fraction(x)
-    value = Fraction(1)
-    if r > 0:
-        for j in range(r):
-            value *= x + j
-    elif r < 0:
-        for j in range(1, -r + 1):
-            value *= x - j
-    return value
-
-
-def abelian_monopole_coeff(entries, lam, params):
-    """Coefficient of the abelianized shift operator |A> -> |A + lam>.
-
-    This is the displayed product formula for the action of a single lattice
-    translation: the vector-representation part contributes
-    (a-1)k/n - A_a + alpha for each negative entry, the adjoint part
-    (a-b+1)k/n - A_a + A_b + beta for each decreasing pair.
-    """
-    if len(entries) != params.n or len(lam) != params.n:
-        raise DimensionError("cocharacter and shift must both have length n")
-    kn = Fraction(params.k, params.n)
-    value = Fraction(1)
-    for a, la in enumerate(lam):
-        if la < 0:
-            for alpha in range(-la):
-                value *= a * kn - entries[a] + alpha
-    n = params.n
-    for a in range(n):
-        for b in range(n):
-            diff = lam[a] - lam[b]
-            if diff > 0:
-                for beta in range(diff):
-                    value *= (a - b + 1) * kn - entries[a] + entries[b] + beta
-    return value
-
-
-def excess_factor(entries, nu, params):
-    """Excess intersection factor of the shift nu at the source point A.
-
-    Product of bracket powers over the weights of the representation
-    (adjoint plus vector): adjoint weights phi_a - phi_b + m for a != b and
-    vector weights phi_a, each raised to -<mu, nu> when that pairing is
-    negative.
-    """
-    if len(entries) != params.n or len(nu) != params.n:
-        raise DimensionError("cocharacter and shift must both have length n")
-    phis = phi_weights(entries, params)
-    m = params.m
-    value = Fraction(1)
-    n = params.n
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            pairing = nu[a] - nu[b]
-            if pairing < 0:
-                value *= bracket_pow(phis[a] - phis[b] + m, -pairing)
-    for a in range(n):
-        if nu[a] < 0:
-            value *= bracket_pow(phis[a], -nu[a])
-    return value
 
 
 class DressPolynomial:
@@ -156,9 +91,6 @@ class DressPolynomial:
                 expo[i] = 1
             terms[tuple(expo)] = 1
         return cls(nvars, terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def evaluate(self, values):
         if len(values) != self.nvars:
@@ -417,14 +349,6 @@ class GradedOperator:
             self.basis, self.shift, {d: b.scaled(c) for d, b in self.blocks.items()}
         )
 
-    def __mul__(self, c):
-        return self.scaled(c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.scaled(-1)
-
     def is_zero(self):
         return all(not b.entries for b in self.blocks.values())
 
@@ -455,14 +379,6 @@ class GradedOperator:
                             out.pop(label, None)
                         else:
                             out[label] = total
-        return out
-
-    def sorted_entries(self):
-        """All block entries as (degree, row, col, value), canonically ordered."""
-        out = []
-        for d in sorted(self.blocks):
-            for (i, j), value in self.blocks[d].sorted_entries():
-                out.append((d, i, j, value))
         return out
 
     def __repr__(self):
@@ -594,49 +510,14 @@ def minuscule_monopole(basis, coweight, dress=None):
     return GradedOperator(basis, shift, blocks)
 
 
-def operator_x(basis):
-    """Raising Weyl generator, charge (1, 0, ..., 0) undressed."""
-    return minuscule_monopole(basis, MinusculeCoweight(1, 1, basis.params.n))
-
-
-def operator_y(basis):
-    """Lowering Weyl generator, charge -(1, 0, ..., 0) undressed."""
-    return minuscule_monopole(basis, MinusculeCoweight(-1, 1, basis.params.n))
-
-
-def operator_e(basis, r=None, dress=None):
-    """Raising operator E_r[f] for the coweight with r ones (default r = n)."""
-    n = basis.params.n
-    r = n if r is None else r
-    return minuscule_monopole(basis, MinusculeCoweight(1, r, n), dress)
-
-
-def operator_f(basis, r=None, dress=None):
-    """Lowering operator F_r[f], whose dressing is shifted by hbar.
-
-    The lowering family acts with f(phi - hbar) where the raising family
-    uses f(phi); with no dressing the twist is invisible.
-    """
-    params = basis.params
-    n = params.n
-    r = n if r is None else r
-    twisted = None if dress is None else dress.shift_all(params.hbar)
-    return minuscule_monopole(basis, MinusculeCoweight(-1, r, n), twisted)
-
-
 def operator_h(basis):
     """Cartan operator hbar - phi_1 - phi_2, diagonal; defined only for n = 2.
 
-    On |A_1, A_2> the eigenvalue is A_1 + A_2 + 1 - k/2.
+    On |A_1, A_2> the eigenvalue is A_1 + A_2 + 1 - k/2.  Coprime n = 2
+    means odd k, so the rank-two guard is the whole precondition.
     """
-    from .errors import UnsupportedParametersError
-
     params = basis.params
-    if params.n != 2:
-        raise UnsupportedParametersError(
-            f"the Cartan operator H is only defined for n = 2, got n = {params.n}"
-        )
-    params.require_coprime()
+    params.require_rank_two()
     blocks = {}
     for d in basis.degrees():
         block = RatMat(basis.dim(d), basis.dim(d))

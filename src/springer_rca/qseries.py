@@ -74,9 +74,6 @@ class QPolynomial:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def is_palindromic(self):
         return self.coeffs == tuple(reversed(self.coeffs))
 

@@ -41,15 +41,9 @@ class NumericalSemigroup:
         return self.n * self.k - self.n - self.k
 
     def __contains__(self, x):
-        if x < 0:
-            return False
-        if x > self.frobenius:
-            return True
-        # gcd(n,k)=1 so small membership is a direct two-generator check
-        for a in range(x // self.n + 1):
-            if (x - a * self.n) % self.k == 0:
-                return True
-        return False
+        # x = a*n + b*k with b < n the least such: b = x / k mod n, and then
+        # x is a member iff a >= 0, i.e. iff b*k <= x
+        return x >= 0 and (x * pow(self.k, -1, self.n) % self.n) * self.k <= x
 
     def elements_up_to(self, bound):
         return [x for x in range(bound + 1) if x in self]
@@ -144,28 +138,28 @@ def count_ideals(n, k, m, budget=DEFAULT_BUDGET):
     return counts
 
 
-def compare_with_fixed_points(params, max_degree, budget=DEFAULT_BUDGET):
-    """Cross-check semigroup-ideal counts against fixed-point counts.
+def compare_with_fixed_points(run):
+    """Cross-check semigroup-ideal counts against the fixed-point counts of ``run``.
 
+    ``run`` is a ``verify.Truncation``; the fixed points are its basis.
     Returns a VerificationReport that passes iff the two enumeration routes
     agree for every degree up to the truncation.
     """
-    from .core import enumerate_fixed_points
     from .verify import VerificationReport
 
+    params = run.params
     params.require_coprime()
-    counts_ideals = count_ideals(params.n, params.k, max_degree, budget=budget)
-    counts_points = []
+    counts_ideals = count_ideals(params.n, params.k, run.max_degree)
+    counts_points = [run.basis.dim(d) for d in run.basis.degrees()]
     witness = None
-    for d, a in enumerate(counts_ideals):
-        b = len(enumerate_fixed_points(params, d))
-        counts_points.append(b)
-        if a != b and witness is None:
+    for d, (a, b) in enumerate(zip(counts_ideals, counts_points)):
+        if a != b:
             witness = {"degree": d, "ideal_count": a, "fixed_point_count": b}
+            break
     return VerificationReport.of(
         "semigroup ideal counts match fixed-point counts",
         params,
-        max_degree,
+        run.max_degree,
         {"ideal_counts": counts_ideals, "fixed_point_counts": counts_points},
         witness,
     )

@@ -100,12 +100,16 @@ class GradedKernelSummary:
 
 
 class Truncation:
-    """One verification run: the truncation (params, max_degree) and its operators.
+    """One run: the truncation (params, max_degree), its basis and its operators.
 
-    The graded basis and each undressed operator are built on first use and
-    then shared by every suite of the run.  Operators are keyed by their
-    coweight vector, so Y and F_1 are one matrix.  Nothing mutates a shared
-    operator: composition, sums and scaling all return new ones.
+    Every suite of a ``verify`` run, the ``operator`` command and the
+    ``fixed-points`` command read the graded basis and the named operators
+    from here, and nowhere else builds them (``operator --op monopole``, the
+    raw coweight route, calls ``minuscule_monopole`` on ``basis`` itself).
+    The basis and each operator are built on first use and then shared.  Monopoles are keyed by their
+    coweight vector and dressing, so Y and F_1 are one matrix.  Nothing
+    mutates a shared operator: composition, sums and scaling all return new
+    ones.
     """
 
     def __init__(self, params, max_degree):
@@ -133,12 +137,18 @@ class Truncation:
                 required_degree=required,
             )
 
-    def monopole(self, sign, r):
-        """The undressed minuscule monopole of coweight sign * (1^r, 0^(n-r))."""
+    def monopole(self, sign, r, dress=None):
+        """E_r[f] (sign 1) or F_r[f] (sign -1), coweight sign * (1^r, 0^(n-r)).
+
+        The lowering family evaluates its dressing at phi - hbar where the
+        raising family uses phi; with no dressing the twist is invisible.
+        """
         coweight = MinusculeCoweight(sign, r, self.params.n)
-        key = coweight.expansion
+        key = (coweight.expansion, dress)
         if key not in self._operators:
-            self._operators[key] = minuscule_monopole(self.basis, coweight)
+            if dress is not None and sign < 0:
+                dress = dress.shift_all(self.params.hbar)
+            self._operators[key] = minuscule_monopole(self.basis, coweight, dress)
         return self._operators[key]
 
     @property
@@ -151,13 +161,25 @@ class Truncation:
         """Lowering Weyl generator, charge -(1, 0, ..., 0)."""
         return self.monopole(-1, 1)
 
-    def sl2(self):
-        """The rank-two triple (E, F, H) with E = E_2, F = -F_2."""
+    @property
+    def e(self):
+        """Rank-two raising generator E = E_2."""
+        self.params.require_rank_two()
+        return self.monopole(1, 2)
+
+    @property
+    def f(self):
+        """Rank-two lowering generator F = -F_2."""
+        self.params.require_rank_two()
+        return self.monopole(-1, 2).scaled(-1)
+
+    @property
+    def h(self):
+        """Rank-two Cartan generator H."""
         self.params.require_rank_two()
         if "H" not in self._operators:
             self._operators["H"] = operator_h(self.basis)
-        e, f = self.monopole(1, 2), self.monopole(-1, 2).scaled(-1)
-        return e, f, self._operators["H"]
+        return self._operators["H"]
 
 
 def _json_safe(obj):
@@ -233,7 +255,7 @@ def _rank_two_relations(run):
 
     Later identities are only computed once the earlier ones have been read.
     """
-    e, f, h = run.sl2()
+    e, f, h = run.e, run.f, run.h
     x, y, basis = run.x, run.y, run.basis
     relations = [
         ("[E,F] = H", commutator(e, f), h),
@@ -465,16 +487,9 @@ def lowest_weight_decomposition(run):
     Cartan eigenvalue on pure degree d is d + 1 - k/2.  The count is complete
     only for max_degree >= k + 1, which ``check_appendix_b`` requires.
     """
-    _, f, _ = run.sl2()
-    basis = run.basis
-    out = []
-    for d in basis.degrees():
-        if basis.dim(d) == 0:
-            continue
-        kernel = _verified_nullspace([f.block(d)], basis.dim(d))
-        weight = d + 1 - Fraction(run.params.k, 2)
-        out.extend((weight, d, tuple(vec)) for vec in kernel)
-    return out
+    kernel = _graded_kernel(run, [run.f], "F")
+    half_k = Fraction(run.params.k, 2)
+    return [(d + 1 - half_k, d, coords) for d, coords in kernel.vectors]
 
 
 def check_lowest_weight_decomposition(run):
@@ -509,14 +524,13 @@ def check_lowest_weight_decomposition(run):
 
 def check_closed_forms(run):
     """Generic localization matrices against the rank-two closed forms."""
-    e, f, h = run.sl2()
     basis = run.basis
     pairs = [
         ("X", run.x, rank_two.closed_form_x(basis)),
         ("Y", run.y, rank_two.closed_form_y(basis)),
-        ("E", e, rank_two.closed_form_e(basis)),
-        ("F", f, rank_two.closed_form_f(basis)),
-        ("H", h, rank_two.closed_form_h(basis)),
+        ("E", run.e, rank_two.closed_form_e(basis)),
+        ("F", run.f, rank_two.closed_form_f(basis)),
+        ("H", run.h, rank_two.closed_form_h(basis)),
     ]
     compared = {}
     for name, generic, closed in pairs:
@@ -698,7 +712,7 @@ SUITES = {
     "oracle": Suite(
         _within_oracle_budget,
         _no_degree,
-        lambda run: semigroup.compare_with_fixed_points(run.params, run.max_degree),
+        lambda run: semigroup.compare_with_fixed_points(run),
     ),
 }
 

@@ -21,9 +21,6 @@ from springer_rca import (
     is_admissible,
     kernel_y,
     lowest_weight_decomposition,
-    operator_f,
-    operator_x,
-    operator_y,
     Truncation,
     singular_vectors,
     verify_stabilizer,
@@ -55,9 +52,9 @@ def test_criterion_01_weyl_relation():
     start = time.monotonic()
     ok = True
     for n, k in PAIRS:
-        basis = build_graded_basis(Params(n, k), 12)
-        comm = commutator(operator_x(basis), operator_y(basis))
-        expected = identity_operator(basis, scale=n)
+        run = Truncation(Params(n, k), 12)
+        comm = commutator(run.x, run.y)
+        expected = identity_operator(run.basis, scale=n)
         if first_mismatch(comm, expected, range(0, 11)) is not None:
             ok = False
             break
@@ -116,10 +113,10 @@ def test_criterion_05_closed_forms():
         check_closed_forms(Truncation(Params(2, 2 * ell + 1), 12)).passed
         for ell in range(1, 5)
     )
-    basis = build_graded_basis(Params(2, 3), 12)
-    x = operator_x(basis)
-    y = operator_y(basis)
-    f = operator_f(basis, 2).scaled(-1)
+    run = Truncation(Params(2, 3), 12)
+    x = run.x
+    y = run.y
+    f = run.f
     ok = ok and x.apply({(0, 0): 1}) == {(0, 1): 2}
     ok = ok and y.apply({(0, 1): 1}) == {(0, 0): -1}
     ok = ok and f.apply({(1, 2): 1}) == {(0, 1): Fraction(-1, 2)}

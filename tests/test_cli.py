@@ -388,6 +388,12 @@ BAD_INPUTS = {
         ["verify", "--suite", "weyl", "--n", "2", "--k", "3", "--max-degree", "4"],
         "threads = 2\n",
     ),
+    "config suite outside its choices": (
+        ["verify", "--n", "2", "--k", "3", "--max-degree", "4"], "suite = bogus\n",
+    ),
+    "config format outside its choices": (
+        ["fixed-points", "--n", "2", "--k", "3", "--max-degree", "2"], "format = xml\n",
+    ),
 }
 
 

@@ -1,5 +1,6 @@
 """Fixed-point enumeration against an independent brute-force search."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -12,9 +13,24 @@ from springer_rca import (
     enumerate_fixed_points,
     euler_series,
     is_admissible,
-    phi_weights,
     stabilizer_cocharacter,
 )
+
+
+def phi_weights(entries, params):
+    """Reference: the equivariant weights of the fixed-point class labeled by A.
+
+    The a-th component is (a-1)*k/n - A_a (with hbar = 1).  For coprime
+    (n, k) the differences phi_a - phi_b (a != b) are never integers, which
+    keeps all localization denominators nonzero.  The package works with
+    the integer weights n * phi instead (``operators.monopole_factors``).
+    """
+    if len(entries) != params.n:
+        raise DimensionError(
+            f"cocharacter has length {len(entries)}, expected n = {params.n}"
+        )
+    kn = Fraction(params.k, params.n)
+    return tuple((a * kn) - entries[a] for a in range(params.n))
 
 
 def brute_force_points(params, d):
@@ -94,8 +110,6 @@ def test_basis_index_roundtrip():
 
 
 def test_phi_weights_examples():
-    from fractions import Fraction
-
     p = Params(2, 3)
     assert phi_weights((0, 0), p) == (0, Fraction(3, 2))
     assert phi_weights((0, 1), p) == (0, Fraction(1, 2))

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from springer_rca import DimensionError, Params, build_graded_basis
+from springer_rca import DimensionError, Params
 from springer_rca.linalg import RatMat
-from springer_rca.operators import operator_f, operator_y
 from springer_rca.verify import Truncation, kernel_y, singular_vectors, stabilization_degree
 
 
@@ -204,9 +203,11 @@ def _reference_kernels(blocks_at, basis):
 @pytest.mark.parametrize("n,k,D", [(3, 4, 12), (4, 5, 14)])
 def test_singular_vector_kernels_match_reference(n, k, D):
     params = Params(n, k)
-    basis = build_graded_basis(params, D)
-    lowering = [operator_f(basis, r) for r in range(1, n + 1)]
-    expected = _reference_kernels(lambda d: [op.block(d) for op in lowering], basis)
+    reference = Truncation(params, D)
+    lowering = [reference.monopole(-1, r) for r in range(1, n + 1)]
+    expected = _reference_kernels(
+        lambda d: [op.block(d) for op in lowering], reference.basis
+    )
     assert singular_vectors(Truncation(params, D)).vectors == expected
 
 
@@ -214,7 +215,7 @@ def test_singular_vector_kernels_match_reference(n, k, D):
 def test_kernel_y_kernels_match_reference(n, k):
     params = Params(n, k)
     D = stabilization_degree(params)
-    basis = build_graded_basis(params, D)
-    y = operator_y(basis)
-    expected = _reference_kernels(lambda d: [y.block(d)], basis)
+    reference = Truncation(params, D)
+    y = reference.y
+    expected = _reference_kernels(lambda d: [y.block(d)], reference.basis)
     assert kernel_y(Truncation(params, D)).vectors == expected

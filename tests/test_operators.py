@@ -11,25 +11,19 @@ from springer_rca import (
     DressPolynomial,
     MinusculeCoweight,
     Params,
+    Truncation,
     TruncationError,
     UnsupportedParametersError,
-    abelian_monopole_coeff,
-    bracket_pow,
     build_graded_basis,
     commutator,
     enumerate_fixed_points,
-    excess_factor,
     identity_operator,
     is_admissible,
     minuscule_monopole,
-    operator_e,
-    operator_f,
     operator_h,
-    operator_x,
-    operator_y,
-    phi_weights,
 )
 from springer_rca.operators import monopole_factors
+from test_core import phi_weights
 
 COPRIME_PAIRS = [(n, k) for n in range(1, 6) for k in range(1, 10) if gcd(n, k) == 1]
 
@@ -48,6 +42,76 @@ def sca_numerator(lam, phis, m):
             if diff > 0:
                 for beta in range(1, diff + 1):
                     value *= phis[b] - phis[a] + m - beta
+    return value
+
+
+def bracket_pow(x, r):
+    """Rising/falling product [x]^r with unit step.
+
+    r > 0 gives x(x+1)...(x+r-1), r = 0 gives 1, and r < 0 gives
+    (x-1)(x-2)...(x-|r|).
+    """
+    x = Fraction(x)
+    value = Fraction(1)
+    if r > 0:
+        for j in range(r):
+            value *= x + j
+    elif r < 0:
+        for j in range(1, -r + 1):
+            value *= x - j
+    return value
+
+
+def abelian_monopole_coeff(entries, lam, params):
+    """Source-side reference: the abelianized shift coefficient |A> -> |A + lam>.
+
+    This is the displayed product formula for the action of a single lattice
+    translation: the vector-representation part contributes
+    (a-1)k/n - A_a + alpha for each negative entry, the adjoint part
+    (a-b+1)k/n - A_a + A_b + beta for each decreasing pair.
+    """
+    if len(entries) != params.n or len(lam) != params.n:
+        raise DimensionError("cocharacter and shift must both have length n")
+    kn = Fraction(params.k, params.n)
+    value = Fraction(1)
+    for a, la in enumerate(lam):
+        if la < 0:
+            for alpha in range(-la):
+                value *= a * kn - entries[a] + alpha
+    n = params.n
+    for a in range(n):
+        for b in range(n):
+            diff = lam[a] - lam[b]
+            if diff > 0:
+                for beta in range(diff):
+                    value *= (a - b + 1) * kn - entries[a] + entries[b] + beta
+    return value
+
+
+def excess_factor(entries, nu, params):
+    """Source-side reference: the excess intersection factor of nu at A.
+
+    Product of bracket powers over the weights of the representation
+    (adjoint plus vector): adjoint weights phi_a - phi_b + m for a != b and
+    vector weights phi_a, each raised to -<mu, nu> when that pairing is
+    negative.
+    """
+    if len(entries) != params.n or len(nu) != params.n:
+        raise DimensionError("cocharacter and shift must both have length n")
+    phis = phi_weights(entries, params)
+    m = params.m
+    value = Fraction(1)
+    n = params.n
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            pairing = nu[a] - nu[b]
+            if pairing < 0:
+                value *= bracket_pow(phis[a] - phis[b] + m, -pairing)
+    for a in range(n):
+        if nu[a] < 0:
+            value *= bracket_pow(phis[a], -nu[a])
     return value
 
 
@@ -139,29 +203,30 @@ def test_orbit_enumeration():
 
 
 def test_operator_spot_values_2_3():
-    basis = build_graded_basis(Params(2, 3), 6)
-    x = operator_x(basis)
-    y = operator_y(basis)
+    run = Truncation(Params(2, 3), 6)
+    basis = run.basis
+    x = run.x
+    y = run.y
     assert x.apply({(0, 0): 1}) == {(0, 1): 2}
     assert x.apply({(0, 1): 1}) == {(0, 2): 4, (1, 1): -2}
     assert y.apply({(0, 0): 1}) == {}
     assert y.apply({(0, 1): 1}) == {(0, 0): -1}
     assert y.apply({(0, 1): 2}) == {(0, 0): -2}
-    e = operator_e(basis, 2)
-    f = operator_f(basis, 2).scaled(-1)
+    e = run.e
+    f = run.f
     for d in range(5):
         for label in basis.stratum(d):
             target = (label[0] + 1, label[1] + 1)
             assert e.apply({label: 1}) == {target: 1}
     assert f.apply({(1, 2): 1}) == {(0, 1): Fraction(-1, 2)}
-    h = operator_h(basis)
+    h = run.h
     assert h.apply({(0, 0): 1}) == {(0, 0): Fraction(-1, 2)}
 
 
 def test_operator_spot_values_3_4():
-    basis = build_graded_basis(Params(3, 4), 6)
-    f3 = operator_f(basis, 3)
-    f2 = operator_f(basis, 2)
+    run = Truncation(Params(3, 4), 6)
+    f3 = run.monopole(-1, 3)
+    f2 = run.monopole(-1, 2)
     assert f3.apply({(0, 1, 1): 1}) == {}
     assert f2.apply({(0, 1, 1): 1}) == {(0, 0, 0): Fraction(-1, 3)}
 
@@ -296,8 +361,8 @@ def test_operators_match_fraction_reference_assembly(n, k):
 
 
 def test_commutator_examples():
-    basis = build_graded_basis(Params(2, 3), 8)
-    x, y = operator_x(basis), operator_y(basis)
+    run = Truncation(Params(2, 3), 8)
+    x, y = run.x, run.y
     comm = commutator(x, y)
     block0 = comm.block(0)
     assert block0[0, 0] == 2
@@ -307,8 +372,8 @@ def test_commutator_examples():
 
 
 def test_composition_domains():
-    basis = build_graded_basis(Params(2, 3), 8)
-    x, y = operator_x(basis), operator_y(basis)
+    run = Truncation(Params(2, 3), 8)
+    x, y = run.x, run.y
     assert x.max_source == 7
     assert y.max_source == 8
     assert (x @ y).max_source == 8
@@ -320,22 +385,22 @@ def test_composition_domains():
 
 
 def test_apply_identity_and_truncation():
-    basis = build_graded_basis(Params(2, 3), 4)
-    ident = identity_operator(basis)
+    run = Truncation(Params(2, 3), 4)
+    ident = identity_operator(run.basis)
     vec = {(0, 1): Fraction(2), (1, 1): Fraction(-1, 3)}
     assert ident.apply(vec) == vec
-    x = operator_x(basis)
+    x = run.x
     with pytest.raises(TruncationError):
         x.apply({(2, 2): 1})  # degree 4 exceeds X's source domain
 
 
 def test_basis_mismatch_rejected():
-    a = build_graded_basis(Params(2, 3), 4)
-    b = build_graded_basis(Params(2, 5), 4)
+    a = Truncation(Params(2, 3), 4)
+    b = Truncation(Params(2, 5), 4)
     with pytest.raises(DimensionError):
-        operator_x(a) @ operator_x(b)
+        a.x @ b.x
     with pytest.raises(DimensionError):
-        operator_x(a) + operator_y(a)  # shift mismatch
+        a.x + a.y  # shift mismatch
 
 
 def test_dress_polynomial_basics():
@@ -366,10 +431,11 @@ def test_dressing_invariance_enforced():
 def test_dressed_full_rank_operators():
     # single-orbit coweights multiply the undressed entry by f at the target
     p = Params(2, 3)
-    basis = build_graded_basis(p, 6)
+    run = Truncation(p, 6)
+    basis = run.basis
     e1 = DressPolynomial.elementary(2, 1)
-    dressed = operator_e(basis, 2, e1)
-    plain = operator_e(basis, 2)
+    dressed = run.monopole(1, 2, e1)
+    plain = run.monopole(1, 2)
     for d in range(dressed.max_source + 1):
         for (i, j), value in dressed.block(d).sorted_entries():
             target = basis.stratum(d + 2)[i]
@@ -377,17 +443,18 @@ def test_dressed_full_rank_operators():
             assert value == expected
     assert dressed.apply({(0, 1): 1}) == {(1, 2): Fraction(-3, 2)}
 
-    lowered = operator_f(basis, 2, e1)
+    lowered = run.monopole(-1, 2, e1)
     assert lowered.apply({(1, 2): 1}) == {(0, 1): Fraction(-3, 4)}
 
 
 def test_dressing_follows_the_orbit():
     # dressing f = phi_(first) reads phi at the shifted slot of each orbit term
     p = Params(2, 3)
-    basis = build_graded_basis(p, 6)
+    run = Truncation(p, 6)
+    basis = run.basis
     first = DressPolynomial.variable(2, 0)
     dressed = minuscule_monopole(basis, MinusculeCoweight(1, 1, 2), first)
-    plain = operator_x(basis)
+    plain = run.x
     for d in range(dressed.max_source + 1):
         stratum = basis.stratum(d)
         for (i, j), _ in plain.block(d).sorted_entries():
@@ -401,8 +468,8 @@ def test_dressing_follows_the_orbit():
 
 
 def test_minuscule_monopole_matches_named_builders():
-    basis = build_graded_basis(Params(3, 4), 5)
-    via_vector = minuscule_monopole(basis, (1, 0, 0))
-    x = operator_x(basis)
+    run = Truncation(Params(3, 4), 5)
+    via_vector = minuscule_monopole(run.basis, (1, 0, 0))
+    x = run.x
     for d in range(x.max_source + 1):
         assert via_vector.block(d) == x.block(d)

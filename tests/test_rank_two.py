@@ -6,13 +6,9 @@ import pytest
 
 from springer_rca import (
     Params,
+    Truncation,
     UnsupportedParametersError,
     build_graded_basis,
-    operator_e,
-    operator_f,
-    operator_h,
-    operator_x,
-    operator_y,
 )
 from springer_rca import rank_two
 from springer_rca.verify import first_mismatch
@@ -52,13 +48,14 @@ def test_closed_form_e_f_h(basis23):
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_closed_forms_match_generic(ell):
     params = Params(2, 2 * ell + 1)
-    basis = build_graded_basis(params, 8)
+    run = Truncation(params, 8)
+    basis = run.basis
     pairs = [
-        (operator_x(basis), rank_two.closed_form_x(basis)),
-        (operator_y(basis), rank_two.closed_form_y(basis)),
-        (operator_e(basis, 2), rank_two.closed_form_e(basis)),
-        (operator_f(basis, 2).scaled(-1), rank_two.closed_form_f(basis)),
-        (operator_h(basis), rank_two.closed_form_h(basis)),
+        (run.x, rank_two.closed_form_x(basis)),
+        (run.y, rank_two.closed_form_y(basis)),
+        (run.e, rank_two.closed_form_e(basis)),
+        (run.f, rank_two.closed_form_f(basis)),
+        (run.h, rank_two.closed_form_h(basis)),
     ]
     for generic, closed in pairs:
         assert first_mismatch(generic, closed) is None
@@ -86,8 +83,7 @@ def test_lowest_weights():
 @pytest.mark.parametrize("ell", [1, 2, 3, 4])
 def test_y_kernel_vectors_annihilate(ell):
     params = Params(2, 2 * ell + 1)
-    basis = build_graded_basis(params, 2 * ell + 1)
-    y = operator_y(basis)
+    y = Truncation(params, 2 * ell + 1).y
     vectors = rank_two.y_kernel_vectors(ell)
     assert len(vectors) == ell + 1
     for number, vec in enumerate(vectors):

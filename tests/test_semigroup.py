@@ -9,11 +9,19 @@ from springer_rca import (
     NumericalSemigroup,
     Params,
     SearchBudgetError,
+    Truncation,
     UnsupportedParametersError,
     compare_with_fixed_points,
     count_ideals,
 )
 from springer_rca.semigroup import enumerate_gap_sets
+
+
+def loop_contains(x, n, k):
+    """Reference membership in <n, k>: try every multiple a*n up to x."""
+    if x < 0:
+        return False
+    return any((x - a * n) % k == 0 for a in range(x // n + 1))
 
 
 def reference_gap_sets(n, k, m):
@@ -23,8 +31,8 @@ def reference_gap_sets(n, k, m):
     [0, F + m*n] in increasing order; an element may be included only when
     g - n and g - k, where in the semigroup, already are.
     """
-    semigroup = NumericalSemigroup(n, k)
-    window = semigroup.elements_up_to(semigroup.frobenius + m * n)
+    frobenius = NumericalSemigroup(n, k).frobenius
+    window = [x for x in range(frobenius + m * n + 1) if loop_contains(x, n, k)]
     found = []
 
     def search(idx, chosen):
@@ -34,7 +42,9 @@ def reference_gap_sets(n, k, m):
         if idx == len(window) or len(window) - idx < m - len(chosen):
             return
         g = window[idx]
-        if all(g - step not in semigroup or g - step in chosen for step in (n, k)):
+        if all(
+            not loop_contains(g - step, n, k) or g - step in chosen for step in (n, k)
+        ):
             chosen.add(g)
             search(idx + 1, chosen)
             chosen.remove(g)
@@ -52,6 +62,14 @@ def test_membership_and_frobenius():
     gamma45 = NumericalSemigroup(4, 5)
     assert gamma45.frobenius == 11
     assert [x for x in range(13) if x not in gamma45] == [1, 2, 3, 6, 7, 11]
+
+
+def test_membership_matches_loop_reference():
+    # every coprime n, k <= 13 and x in [-3, F + 3n + 4]
+    for n, k in [(n, k) for n in range(1, 14) for k in range(1, 14) if gcd(n, k) == 1]:
+        gamma = NumericalSemigroup(n, k)
+        for x in range(-3, gamma.frobenius + 3 * n + 5):
+            assert (x in gamma) == loop_contains(x, n, k), (n, k, x)
 
 
 def test_non_coprime_rejected():
@@ -115,8 +133,8 @@ def test_budget_error():
 
 
 def test_compare_with_fixed_points_examples():
-    report = compare_with_fixed_points(Params(2, 3), 8)
+    report = compare_with_fixed_points(Truncation(Params(2, 3), 8))
     assert report.passed
     assert report.details["ideal_counts"] == [1, 1, 2, 2, 2, 2, 2, 2, 2]
-    assert compare_with_fixed_points(Params(3, 4), 6).passed
-    assert compare_with_fixed_points(Params(2, 3), 0).passed
+    assert compare_with_fixed_points(Truncation(Params(3, 4), 6)).passed
+    assert compare_with_fixed_points(Truncation(Params(2, 3), 0)).passed

@@ -20,15 +20,13 @@ from springer_rca import (
     finite_part_character,
     kernel_y,
     lowest_weight_decomposition,
-    operator_x,
-    operator_y,
     singular_vectors,
     stabilizer_cocharacter,
 )
 from springer_rca import operators
 from springer_rca.cli import main
 from springer_rca.linalg import RatMat
-from springer_rca.operators import DressPolynomial, minuscule_monopole, operator_f
+from springer_rca.operators import DressPolynomial, minuscule_monopole
 from springer_rca.verify import (
     SUITES,
     Truncation,
@@ -112,8 +110,9 @@ def test_weyl_relation_requires_degree_2(D):
 
 def test_weyl_relation_fault_injection():
     # corrupt one Y entry and demand a concrete witness
-    basis = build_graded_basis(Params(2, 3), 6)
-    x, y = operator_x(basis), operator_y(basis)
+    run = Truncation(Params(2, 3), 6)
+    basis = run.basis
+    x, y = run.x, run.y
     block = y.block(1)
     block[0, 0] = block[0, 0] + 1
     report = weyl_report(x, y, basis, 4)
@@ -138,7 +137,8 @@ def test_sl2_rejects_bad_params():
 
 def test_casimir_spot_values():
     # eigenvalues (A2 - A1 - 3/2)^2 - 1 on the first two strata
-    e, f, h = Truncation(Params(2, 3), 6).sl2()
+    run = Truncation(Params(2, 3), 6)
+    e, f, h = run.e, run.f, run.h
     casimir = (e @ f + f @ e).scaled(2) + h @ h
     assert casimir.block(0)[0, 0] == Fraction(5, 4)
     assert casimir.block(1)[0, 0] == Fraction(-3, 4)
@@ -156,14 +156,13 @@ def test_singular_vectors(n, k, D):
 
 def test_singular_vector_survives_dressing():
     # the joint kernel at degree zero also dies under dressed lowering ops
-    p = Params(3, 4)
-    basis = build_graded_basis(p, 6)
+    run = Truncation(Params(3, 4), 6)
     for r in (1, 2, 3):
         for dress in (
             DressPolynomial.elementary(3, 1),
             DressPolynomial.elementary(3, 2),
         ):
-            op = operator_f(basis, r, dress)
+            op = run.monopole(-1, r, dress)
             assert op.apply({(0, 0, 0): 1}) == {}
 
 
@@ -214,8 +213,7 @@ def test_lowest_weight_decomposition():
 
 
 def test_rank_two_lowering_kills_boundary_classes():
-    basis = build_graded_basis(Params(2, 3), 6)
-    f = operator_f(basis, 2).scaled(-1)
+    f = Truncation(Params(2, 3), 6).f
     for a2 in range(4):
         assert f.apply({(0, a2): 1}) == {}
 
