@@ -122,15 +122,24 @@ def _config_value(action, key, value):
 
 
 def _merge_config(args, command_parser):
-    """Fill the options left unset from the config file; flags win."""
+    """Fill the options left unset from the config file; flags win.
+
+    The keys are the subcommand's own options other than ``--config``.
+    Every value is checked, also one that a flag overrides.
+    """
     if not args.config:
         return args
-    actions = {action.dest: action for action in command_parser._actions}
+    actions = {
+        action.dest: action
+        for action in command_parser._actions
+        if action.dest not in ("help", "config")
+    }
     for key, value in _load_config(args.config).items():
-        if not hasattr(args, key):
+        if key not in actions:
             raise UsageError(f"unknown config key {key!r}")
+        value = _config_value(actions[key], key, value)
         if getattr(args, key) is None:
-            setattr(args, key, _config_value(actions[key], key, value))
+            setattr(args, key, value)
     return args
 
 

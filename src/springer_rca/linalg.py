@@ -1,6 +1,9 @@
 """Sparse exact-rational matrices and nullspaces.
 
-Matrices are dictionaries of nonzero entries over ``fractions.Fraction``.
+A matrix stores its nonzero entries as integer numerators over one positive
+block denominator, kept in lowest terms, so equal matrices have equal
+fields.  Products, sums and scalings are integer arithmetic followed by one
+gcd reduction; a ``fractions.Fraction`` is made only where an entry is read.
 The blocks in this problem are very sparse (a few nonzeros per row), so
 elimination keeps every row as a sparse dict and touches only the rows that
 hold the current pivot column.  All results are exact: kernels found here
@@ -9,46 +12,89 @@ are certificates, not approximations.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd, lcm
 
-from .errors import DimensionError
+from .errors import DimensionError, InvariantError
+
+ZERO = Fraction(0)
 
 
 class RatMat:
-    """Sparse matrix with exact rational entries and a fixed shape."""
+    """Sparse matrix with exact rational entries and a fixed shape.
 
-    __slots__ = ("nrows", "ncols", "entries")
+    Entry (i, j) is ``num[i, j] / den``: ``num`` maps the positions of the
+    nonzero entries to nonzero integers and ``den`` is a positive integer
+    with ``gcd(den, *num.values()) == 1``.  A matrix is not changed once
+    built; every operation returns a new one.
+    """
+
+    __slots__ = ("nrows", "ncols", "num", "den")
 
     def __init__(self, nrows, ncols, entries=None):
+        """The matrix with the rational ``entries`` {(i, j): value}, zero elsewhere."""
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix shape must be nonnegative")
         self.nrows = nrows
         self.ncols = ncols
-        self.entries = {}
+        self.num = {}
+        self.den = 1
         if entries:
-            for (i, j), value in entries.items():
-                self[i, j] = value
+            self._take_ratios(
+                {key: (v.numerator, v.denominator) for key, v in entries.items()}
+            )
+
+    @classmethod
+    def from_ratios(cls, nrows, ncols, ratios):
+        """The matrix with entry (i, j) = p / q for each (i, j): (p, q) of ``ratios``.
+
+        Each p and q is an integer and q is positive; the block denominator
+        is the lcm of the q.
+        """
+        return cls(nrows, ncols)._take_ratios(ratios)
+
+    def _take_ratios(self, ratios):
+        for i, j in ratios:
+            if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+                raise IndexError(f"entry {(i, j)} outside shape {self.shape}")
+        dens = {q for _, q in ratios.values()}
+        if min(dens, default=1) <= 0:
+            raise InvariantError(
+                f"an entry has the nonpositive denominator {min(dens)}"
+            )
+        den = lcm(*dens)
+        return self._take(
+            {key: p * (den // q) for key, (p, q) in ratios.items() if p}, den
+        )
+
+    def _take(self, num, den):
+        """Store num / den in lowest terms and return self; ``num`` has no zero."""
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {key: v // g for key, v in num.items()}
+            den //= g
+        self.num = num
+        self.den = den
+        return self
 
     @classmethod
     def identity(cls, n, scale=1):
-        mat = cls(n, n)
-        if scale != 0:
-            for i in range(n):
-                mat.entries[(i, i)] = Fraction(scale)
-        return mat
+        pair = (scale.numerator, scale.denominator)
+        return cls.from_ratios(n, n, {(i, i): pair for i in range(n)})
 
     def __getitem__(self, key):
-        return self.entries.get(key, Fraction(0))
+        value = self.num.get(key)
+        return ZERO if value is None else Fraction(value, self.den)
 
-    def __setitem__(self, key, value):
-        i, j = key
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError(f"entry {key} outside shape {self.shape}")
-        value = Fraction(value)
-        if value == 0:
-            self.entries.pop(key, None)
-        else:
-            self.entries[key] = value
+    @property
+    def entries(self):
+        """Read-only {(i, j): Fraction} view of the nonzero entries."""
+        return _Entries(self)
+
+    def sorted_entries(self):
+        den = self.den
+        return [(key, Fraction(v, den)) for key, v in sorted(self.num.items())]
 
     @property
     def shape(self):
@@ -59,69 +105,87 @@ class RatMat:
             raise DimensionError(f"shape mismatch: {self.shape} vs {other.shape}")
 
     def __add__(self, other):
-        self._check_same_shape(other)
-        out = RatMat(self.nrows, self.ncols)
-        out.entries = dict(self.entries)
-        for key, value in other.entries.items():
-            out[key] = out[key] + value
-        return out
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + other.scaled(-1)
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        """self + sign * other over the lcm of the two denominators."""
+        self._check_same_shape(other)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        num = {key: a * v for key, v in self.num.items()}
+        for key, v in other.num.items():
+            total = num.get(key, 0) + b * v
+            if total:
+                num[key] = total
+            else:
+                del num[key]
+        return RatMat(self.nrows, self.ncols)._take(num, den)
 
     def scaled(self, c):
         c = Fraction(c)
         out = RatMat(self.nrows, self.ncols)
-        if c != 0:
-            out.entries = {key: c * v for key, v in self.entries.items()}
-        return out
+        if not c:
+            return out
+        p = c.numerator
+        return out._take(
+            {key: p * v for key, v in self.num.items()}, self.den * c.denominator
+        )
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise DimensionError(
                 f"cannot multiply shapes {self.shape} and {other.shape}"
             )
-        # group the right factor by row to keep the product sparse
-        by_row = {}
-        for (i, j), value in other.entries.items():
-            by_row.setdefault(i, []).append((j, value))
-        out = RatMat(self.nrows, other.ncols)
-        acc = {}
-        for (i, l), a in self.entries.items():
-            for j, b in by_row.get(l, ()):
-                key = (i, j)
-                acc[key] = acc.get(key, Fraction(0)) + a * b
-        for key, value in acc.items():
-            if value != 0:
-                out.entries[key] = value
-        return out
+        # group both factors by row to keep the product sparse
+        right = {}
+        for (l, j), b in other.num.items():
+            right.setdefault(l, []).append((j, b))
+        left = {}
+        for (i, l), a in self.num.items():
+            left.setdefault(i, []).append((l, a))
+        num = {}
+        for i, terms in left.items():
+            row = {}
+            for l, a in terms:
+                for j, b in right.get(l, ()):
+                    row[j] = row.get(j, 0) + a * b
+            for j, value in row.items():
+                if value:
+                    num[i, j] = value
+        return RatMat(self.nrows, other.ncols)._take(num, self.den * other.den)
 
     def matvec(self, vec):
+        """The product M v as a list of Fractions.
+
+        The coordinates of v are put over one common denominator, so every
+        row sum is an integer; a zero sum reads as 0 with no division.
+        """
         if len(vec) != self.ncols:
             raise DimensionError(
                 f"vector of length {len(vec)} against {self.ncols} columns"
             )
-        out = [Fraction(0)] * self.nrows
-        for (i, j), value in self.entries.items():
-            out[i] += value * vec[j]
-        return out
-
-    def sorted_entries(self):
-        return sorted(self.entries.items())
-
-    def dense(self):
-        rows = [[Fraction(0)] * self.ncols for _ in range(self.nrows)]
-        for (i, j), value in self.entries.items():
-            rows[i][j] = value
-        return rows
+        scale = lcm(*(v.denominator for v in vec))
+        coords = [v.numerator * (scale // v.denominator) for v in vec]
+        out = [0] * self.nrows
+        for (i, j), a in self.num.items():
+            out[i] += a * coords[j]
+        den = self.den * scale
+        return [Fraction(s, den) if s else ZERO for s in out]
 
     def __eq__(self, other):
         if not isinstance(other, RatMat):
             return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
+        return (
+            self.shape == other.shape
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __repr__(self):
-        return f"RatMat({self.nrows}x{self.ncols}, {len(self.entries)} entries)"
+        return f"RatMat({self.nrows}x{self.ncols}, {len(self.num)} entries)"
 
     @classmethod
     def vstack(cls, mats):
@@ -132,13 +196,15 @@ class RatMat:
         for m in mats:
             if m.ncols != ncols:
                 raise DimensionError("vstack requires equal column counts")
-        out = cls(sum(m.nrows for m in mats), ncols)
+        den = lcm(*(m.den for m in mats))
+        num = {}
         offset = 0
         for m in mats:
-            for (i, j), value in m.entries.items():
-                out.entries[(offset + i, j)] = value
+            factor = den // m.den
+            for (i, j), value in m.num.items():
+                num[offset + i, j] = factor * value
             offset += m.nrows
-        return out
+        return cls(offset, ncols)._take(num, den)
 
     def rref(self):
         """Reduced row echelon form; returns (rows, pivot column list).
@@ -155,8 +221,9 @@ class RatMat:
         rows = {}
         # column -> rows not yet used as a pivot that hold a nonzero there
         holders = {}
-        for (i, j), value in self.entries.items():
-            rows.setdefault(i, {})[j] = value
+        den = self.den
+        for (i, j), value in self.num.items():
+            rows.setdefault(i, {})[j] = Fraction(value, den)
             holders.setdefault(j, set()).add(i)
 
         pivots = []
@@ -231,3 +298,21 @@ class RatMat:
                 if fc != pc:
                     basis[fc][pc] = -value
         return list(basis.values())
+
+
+class _Entries(Mapping):
+    """The read-only {(i, j): Fraction} view behind ``RatMat.entries``."""
+
+    __slots__ = ("_mat",)
+
+    def __init__(self, mat):
+        self._mat = mat
+
+    def __getitem__(self, key):
+        return Fraction(self._mat.num[key], self._mat.den)
+
+    def __iter__(self):
+        return iter(self._mat.num)
+
+    def __len__(self):
+        return len(self._mat.num)

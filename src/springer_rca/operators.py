@@ -16,7 +16,9 @@ Every weight phi_a = a*k/n - B_a is an integer over n, and so is m, so every
 factor of N and D is an integer over n.  The assembly therefore works with
 the integer weights P = n * phi and forms n^#factors * N and n^#factors * D
 as integers; their ratio differs from N / D by n^#vector factors, a power
-fixed by the coweight.  Only the stored entry itself is a Fraction.
+fixed by the coweight.  Each entry goes to its block as an integer pair
+(numerator, positive denominator), and the block puts them over one
+denominator, so assembly makes no Fraction.
 
 Evaluating every factor at the *target* weights is the convention that
 reproduces the closed rank-two formulas.  The numerator above, evaluated at
@@ -475,7 +477,7 @@ def minuscule_monopole(basis, coweight, dress=None):
         source = basis.stratum(d)
         target_degree = d + shift
         target_dim = basis.dim(target_degree) if target_degree >= 0 else 0
-        block = RatMat(target_dim, len(source))
+        ratios = {}
         for j, label in enumerate(source):
             for lam, pairs, slots, scale, dressing in orbit:
                 target = tuple(label[a] + lam[a] for a in range(n))
@@ -497,16 +499,16 @@ def minuscule_monopole(basis, coweight, dress=None):
                             value += c
                         if value:
                             i = basis.index(target_degree, target)
-                            block.entries[i, j] = Fraction(
-                                numerator * value, denominator * scale
-                            )
+                            if denominator < 0:
+                                numerator, denominator = -numerator, -denominator
+                            ratios[i, j] = (numerator * value, denominator * scale)
                 elif numerator:
                     # boundary vanishing: leaving the moduli kills the term
                     raise InvariantError(
                         f"term {label} -> {target} leaves the moduli with "
                         f"nonzero numerator {numerator}"
                     )
-        blocks[d] = block
+        blocks[d] = RatMat.from_ratios(target_dim, len(source), ratios)
     return GradedOperator(basis, shift, blocks)
 
 
@@ -520,8 +522,9 @@ def operator_h(basis):
     params.require_rank_two()
     blocks = {}
     for d in basis.degrees():
-        block = RatMat(basis.dim(d), basis.dim(d))
-        for j, label in enumerate(basis.stratum(d)):
-            block[j, j] = Fraction(2 * (sum(label) + 1) - params.k, 2)
-        blocks[d] = block
+        ratios = {
+            (j, j): (2 * (sum(label) + 1) - params.k, 2)
+            for j, label in enumerate(basis.stratum(d))
+        }
+        blocks[d] = RatMat.from_ratios(basis.dim(d), basis.dim(d), ratios)
     return GradedOperator(basis, 0, blocks)

@@ -36,18 +36,20 @@ def _from_terms(basis, shift, term_fn):
     for d in range(basis.max_degree - max(0, shift) + 1):
         source = basis.stratum(d)
         target_degree = d + shift
-        block = RatMat(basis.dim(target_degree) if target_degree >= 0 else 0, len(source))
+        ratios = {}
         for j, label in enumerate(source):
             for target, coeff in term_fn(label):
                 if is_admissible(target, params):
                     if coeff != 0:
-                        block[basis.index(target_degree, target), j] = coeff
+                        i = basis.index(target_degree, target)
+                        ratios[i, j] = (coeff.numerator, coeff.denominator)
                 elif coeff != 0:
                     raise InvariantError(
                         f"closed-form term {label} -> {target} leaves the moduli "
                         f"with nonzero coefficient {coeff}"
                     )
-        blocks[d] = block
+        target_dim = basis.dim(target_degree) if target_degree >= 0 else 0
+        blocks[d] = RatMat.from_ratios(target_dim, len(source), ratios)
     return GradedOperator(basis, shift, blocks)
 
 

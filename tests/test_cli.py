@@ -394,6 +394,16 @@ BAD_INPUTS = {
     "config format outside its choices": (
         ["fixed-points", "--n", "2", "--k", "3", "--max-degree", "2"], "format = xml\n",
     ),
+    "command config key": (
+        ["fixed-points", "--n", "3", "--k", "4", "--max-degree", "1"], "command = verify\n",
+    ),
+    "config key naming a config file": (
+        ["fixed-points", "--n", "3", "--k", "4", "--max-degree", "1"],
+        "config = /nonexistent\n",
+    ),
+    "bad config value under a flag": (
+        ["fixed-points", "--n", "2", "--k", "3", "--max-degree", "1"], "n = two\n",
+    ),
 }
 
 

@@ -1,13 +1,96 @@
 """Exact matrix arithmetic and nullspace extraction."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from springer_rca import DimensionError, Params
+from springer_rca import DimensionError, InvariantError, Params
 from springer_rca.linalg import RatMat
 from springer_rca.verify import Truncation, kernel_y, singular_vectors, stabilization_degree
+
+
+def dense(m):
+    """The rows of ``m`` as lists of Fractions."""
+    rows = [[Fraction(0)] * m.ncols for _ in range(m.nrows)]
+    for (i, j), value in m.entries.items():
+        rows[i][j] = value
+    return rows
+
+
+class FractionMat:
+    """Reference arithmetic: a {(i, j): Fraction} dict of nonzero entries.
+
+    This is the representation ``RatMat`` had before it moved to integer
+    numerators over one block denominator; every operation builds and
+    normalizes a Fraction per term.
+    """
+
+    def __init__(self, nrows, ncols, entries=None):
+        self.nrows = nrows
+        self.ncols = ncols
+        self.entries = {}
+        for key, value in (entries or {}).items():
+            value = Fraction(value)
+            if value != 0:
+                self.entries[key] = value
+
+    @classmethod
+    def of(cls, m):
+        return cls(m.nrows, m.ncols, dict(m.entries))
+
+    def __getitem__(self, key):
+        return self.entries.get(key, Fraction(0))
+
+    def __add__(self, other):
+        out = FractionMat(self.nrows, self.ncols, self.entries)
+        for key, value in other.entries.items():
+            total = out[key] + value
+            if total == 0:
+                out.entries.pop(key, None)
+            else:
+                out.entries[key] = total
+        return out
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def scaled(self, c):
+        c = Fraction(c)
+        return FractionMat(
+            self.nrows, self.ncols, {key: c * v for key, v in self.entries.items()}
+        )
+
+    def __matmul__(self, other):
+        by_row = {}
+        for (i, j), value in other.entries.items():
+            by_row.setdefault(i, []).append((j, value))
+        acc = {}
+        for (i, l), a in self.entries.items():
+            for j, b in by_row.get(l, ()):
+                key = (i, j)
+                acc[key] = acc.get(key, Fraction(0)) + a * b
+        return FractionMat(self.nrows, other.ncols, acc)
+
+    def matvec(self, vec):
+        out = [Fraction(0)] * self.nrows
+        for (i, j), value in self.entries.items():
+            out[i] += value * vec[j]
+        return out
+
+    @classmethod
+    def vstack(cls, mats):
+        entries = {}
+        offset = 0
+        for m in mats:
+            for (i, j), value in m.entries.items():
+                entries[offset + i, j] = value
+            offset += m.nrows
+        return cls(offset, mats[0].ncols, entries)
 
 
 def reference_rref(m):
@@ -15,7 +98,7 @@ def reference_rref(m):
 
     Returns the dense reduced rows (zero rows last) and the pivot columns.
     """
-    rows = m.dense()
+    rows = dense(m)
     pivots = []
     r = 0
     for c in range(m.ncols):
@@ -56,19 +139,16 @@ def reference_nullspace(m):
 
 
 def mat(rows):
-    out = RatMat(len(rows), len(rows[0]) if rows else 0)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            out[i, j] = v
-    return out
+    entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
+    return RatMat(len(rows), len(rows[0]) if rows else 0, entries)
 
 
 def test_basic_arithmetic():
     a = mat([[1, 2], [0, 1]])
     b = mat([[0, 1], [1, 0]])
-    assert (a + b).dense() == mat([[1, 3], [1, 1]]).dense()
+    assert dense(a + b) == dense(mat([[1, 3], [1, 1]]))
     assert (a - a).entries == {}
-    assert (a @ b).dense() == mat([[2, 1], [1, 0]]).dense()
+    assert dense(a @ b) == dense(mat([[2, 1], [1, 0]]))
     assert a.scaled(Fraction(1, 2))[0, 1] == 1
     assert a.matvec([1, 1]) == [3, 1]
     assert RatMat.identity(3).rank() == 3
@@ -82,13 +162,13 @@ def test_shape_checks():
     with pytest.raises(DimensionError):
         mat([[1, 2]]).matvec([1])
     with pytest.raises(IndexError):
-        mat([[1]])[2, 0] = 1
+        RatMat(1, 1, {(2, 0): 1})
 
 
 def test_zero_entries_dropped():
     a = mat([[1]])
-    a[0, 0] = 0
-    assert a.entries == {}
+    assert (a - a).entries == {}
+    assert RatMat(1, 1, {(0, 0): 0}).entries == {}
 
 
 def test_nullspace_known_kernel():
@@ -140,7 +220,7 @@ def test_vstack():
     a = mat([[1, 2]])
     b = mat([[3, 4], [5, 6]])
     stacked = RatMat.vstack([a, b])
-    assert stacked.dense() == mat([[1, 2], [3, 4], [5, 6]]).dense()
+    assert dense(stacked) == dense(mat([[1, 2], [3, 4], [5, 6]]))
     with pytest.raises(DimensionError):
         RatMat.vstack([a, mat([[1]])])
 
@@ -168,11 +248,7 @@ def sparse_matrices(draw):
             a, b = draw(values), draw(values)
             j, l = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
             rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[l])]
-    out = RatMat(nrows, ncols)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            out[i, j] = v
-    return out
+    return mat(rows) if nrows else RatMat(0, ncols)
 
 
 @settings(deadline=None)
@@ -189,6 +265,126 @@ def test_sparse_rref_matches_dense_reference(m):
     assert basis == reference_nullspace(m)
     for vec in basis:
         assert all(v == 0 for v in m.matvec(vec))
+
+
+def assert_canonical(m):
+    """Integer numerators over one positive denominator, in lowest terms."""
+    assert isinstance(m.den, int) and m.den > 0
+    assert all(isinstance(v, int) and v != 0 for v in m.num.values())
+    assert gcd(m.den, *m.num.values()) == 1
+    assert all(0 <= i < m.nrows and 0 <= j < m.ncols for i, j in m.num)
+
+
+def assert_matches(m, ref):
+    assert_canonical(m)
+    assert m.shape == (ref.nrows, ref.ncols)
+    assert dict(m.entries) == ref.entries
+    assert m == RatMat(ref.nrows, ref.ncols, ref.entries)
+
+
+_values = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+
+
+@st.composite
+def _matrices(draw, nrows, ncols):
+    if not (nrows and ncols):
+        return RatMat(nrows, ncols)
+    cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    entries = draw(st.dictionaries(cells, _values, max_size=nrows * ncols))
+    return RatMat(nrows, ncols, entries)
+
+
+@st.composite
+def arithmetic_cases(draw):
+    """Two same-shape matrices, a right factor, a vector, a scalar and a stack."""
+    r, c, s = (draw(st.integers(0, 6)) for _ in range(3))
+    a, b = draw(_matrices(r, c)), draw(_matrices(r, c))
+    right = draw(_matrices(c, s))
+    extra = draw(_matrices(draw(st.integers(0, 4)), c))
+    vec = draw(st.lists(_values, min_size=c, max_size=c))
+    return a, b, right, extra, vec, draw(_values)
+
+
+@settings(deadline=None)
+@given(arithmetic_cases())
+def test_arithmetic_matches_fraction_reference(case):
+    a, b, right, extra, vec, c = case
+    ra, rb, rright, rextra = map(FractionMat.of, (a, b, right, extra))
+    for m in (a, b, right, extra):
+        assert_canonical(m)
+    assert_matches(a + b, ra + rb)
+    assert_matches(a - b, ra - rb)
+    assert_matches(a.scaled(c), ra.scaled(c))
+    assert_matches(a @ right, ra @ rright)
+    assert_matches(RatMat.vstack([a, extra, b]), FractionMat.vstack([ra, rextra, rb]))
+    assert (a == b) == (ra.entries == rb.entries)
+    assert a == a.scaled(1) and a + b == b + a
+    assert a.matvec(vec) == ra.matvec(vec)
+    for i in range(a.nrows):
+        for j in range(a.ncols):
+            assert a[i, j] == ra[i, j]
+            assert type(a[i, j]) is Fraction
+
+
+def test_equal_matrices_built_two_ways():
+    direct = RatMat(2, 2, {(0, 0): Fraction(1, 2)})
+    half = RatMat.identity(2).scaled(Fraction(1, 2))
+    cleared = half - RatMat(2, 2, {(1, 1): Fraction(1, 2)})
+    assert cleared == direct
+    assert (cleared.num, cleared.den) == (direct.num, direct.den) == ({(0, 0): 1}, 2)
+    ratios = RatMat.from_ratios(2, 2, {(0, 0): (3, 6), (1, 1): (0, 5)})
+    assert ratios == direct
+    assert RatMat(3, 3).den == (RatMat.identity(3) - RatMat.identity(3)).den == 1
+
+
+def test_nonpositive_denominator_raises():
+    for q in (0, -2):
+        with pytest.raises(InvariantError, match="nonpositive denominator"):
+            RatMat.from_ratios(2, 2, {(0, 0): (1, 3), (1, 0): (1, q)})
+
+
+def test_nonpositive_denominator_guard_survives_optimize_flag():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "from springer_rca import InvariantError\n"
+        "from springer_rca.linalg import RatMat\n"
+        "try:\n"
+        "    RatMat.from_ratios(1, 1, {(0, 0): (1, -1)})\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "raised"
+
+
+@pytest.mark.parametrize("size", [20, 60])
+def test_block_arithmetic_builds_no_fraction_per_entry(size, monkeypatch):
+    # ten entries per row (200 at size 20), with denominators up to 7
+    cells = [(i, (3 * i + t) % size) for i in range(size) for t in range(10)]
+    a = RatMat(size, size, {(i, j): Fraction(i + j + 1, 1 + (i + j) % 7) for i, j in cells})
+    b = RatMat(size, size, {(j, i): Fraction(i - j - 1, 1 + i % 5) for i, j in cells})
+    c = Fraction(3, 5)
+    calls = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        calls.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    results = [a @ b, a + b, a - b, a.scaled(c), RatMat.vstack([a, b]), a == b]
+    monkeypatch.undo()
+    assert len(a.num) >= 200 and a.den > 1 and b.den > 1
+    assert len(calls) <= 1
+    ra, rb = FractionMat.of(a), FractionMat.of(b)
+    assert_matches(results[0], ra @ rb)
+    assert_matches(results[3], ra.scaled(c))
 
 
 def _reference_kernels(blocks_at, basis):

@@ -1,5 +1,6 @@
 """Verification suites: relation checks, kernels, characters, stabilizer."""
 
+import json
 import os
 import subprocess
 import sys
@@ -23,13 +24,14 @@ from springer_rca import (
     singular_vectors,
     stabilizer_cocharacter,
 )
-from springer_rca import operators
+from springer_rca import operators, rank_two
 from springer_rca.cli import main
 from springer_rca.linalg import RatMat
 from springer_rca.operators import DressPolynomial, minuscule_monopole
 from springer_rca.verify import (
     SUITES,
     Truncation,
+    _casimir_witness,
     _verified_nullspace,
     applicable_suites,
     check_appendix_b,
@@ -114,7 +116,7 @@ def test_weyl_relation_fault_injection():
     basis = run.basis
     x, y = run.x, run.y
     block = y.block(1)
-    block[0, 0] = block[0, 0] + 1
+    y.blocks[1] = block + RatMat(block.nrows, block.ncols, {(0, 0): 1})
     report = weyl_report(x, y, basis, 4)
     assert not report.passed
     assert report.witness["degree"] in (0, 1)
@@ -142,6 +144,59 @@ def test_casimir_spot_values():
     casimir = (e @ f + f @ e).scaled(2) + h @ h
     assert casimir.block(0)[0, 0] == Fraction(5, 4)
     assert casimir.block(1)[0, 0] == Fraction(-3, 4)
+
+
+def reference_casimir_witness(casimir, basis, ell):
+    """Dense scan of every Casimir entry, column by column: the reference."""
+    for d in casimir.domain():
+        block = casimir.block(d)
+        stratum = basis.stratum(d)
+        for j, label in enumerate(stratum):
+            expected = rank_two.casimir_eigenvalue(label, ell)
+            for i in range(len(stratum)):
+                got = block[i, j]
+                want = expected if i == j else Fraction(0)
+                if got != want:
+                    return {
+                        "relation": "Casimir eigenvalue",
+                        "degree": d,
+                        "row": i,
+                        "col": j,
+                        "label": list(label),
+                        "expected": str(want),
+                        "actual": str(got),
+                    }
+    return None
+
+
+# (degree, {(i, j): added value}) perturbations of the Casimir at (2, 5, 9)
+CASIMIR_PERTURBATIONS = {
+    "none": (None, {}),
+    "diagonal miss": (6, {(1, 1): Fraction(1, 3)}),
+    "off-diagonal below": (6, {(2, 1): Fraction(-2, 7)}),
+    "off-diagonal above": (6, {(0, 2): 5}),
+    "off-diagonal above a diagonal miss": (7, {(0, 1): 1, (1, 1): -1}),
+    "diagonal miss above an off-diagonal": (7, {(2, 1): 1, (1, 1): Fraction(1, 2)}),
+    "two columns": (5, {(2, 2): 1, (0, 1): 3}),
+    "two off-diagonals in one column": (6, {(1, 0): 1, (2, 0): -1}),
+    "lower row in an earlier column": (6, {(0, 2): 1, (1, 0): 1}),
+}
+
+
+@pytest.mark.parametrize(
+    "degree,delta", CASIMIR_PERTURBATIONS.values(), ids=CASIMIR_PERTURBATIONS.keys()
+)
+def test_casimir_witness_matches_dense_reference(degree, delta):
+    run = Truncation(Params(2, 5), 9)
+    e, f, h = run.e, run.f, run.h
+    casimir = (e @ f + f @ e).scaled(2) + h @ h
+    if degree is not None:
+        block = casimir.block(degree)
+        casimir.blocks[degree] = block + RatMat(block.nrows, block.ncols, delta)
+    got = _casimir_witness(casimir, run.basis, run.ell)
+    want = reference_casimir_witness(casimir, run.basis, run.ell)
+    assert json.dumps(got) == json.dumps(want)
+    assert (got is None) == (degree is None)
 
 
 @pytest.mark.parametrize("n,k,D", [(2, 3, 10), (3, 4, 9)])
