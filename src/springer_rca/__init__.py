@@ -37,7 +37,6 @@ from .operators import (
 )
 from .qseries import (
     QPolynomial,
-    betti_2k,
     compactified_jacobian_dim,
     euler_series,
     qbinomial,

@@ -10,8 +10,6 @@ lowest terms as strings.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -167,6 +165,10 @@ def _emit(args, payload, csv_rows):
     if (args.format or "json") == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
+        # only a CSV report loads the csv module
+        import csv
+        import io
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerows(csv_rows)

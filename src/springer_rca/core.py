@@ -11,23 +11,63 @@ where d(A) = sum(A).  Everything here is a pure function of immutable data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .errors import DimensionError, TruncationError, UnsupportedParametersError
 
 
-@dataclass(frozen=True)
-class Params:
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass lists the attributes that make its value in ``_fields``,
+    in the order its ``__init__`` takes them, declares its ``__slots__``
+    and sets each attribute once, in ``__init__``, through ``_set``.  Two
+    records of one class are equal, and hash alike, when their ``_fields``
+    are; copying and pickling rebuild a record from them.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _set(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __repr__(self):
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({values})"
+
+
+class Params(Record):
     """Singularity datum (n, k) with the coupling m = -k/n and hbar = 1."""
 
-    n: int
-    k: int
+    _fields = __slots__ = ("n", "k")
 
-    def __post_init__(self):
-        if self.n < 1 or self.k < 1:
-            raise ValueError(f"n and k must be positive, got ({self.n}, {self.k})")
+    def __init__(self, n, k):
+        if n < 1 or k < 1:
+            raise ValueError(f"n and k must be positive, got ({n}, {k})")
+        self._set(n=n, k=k)
 
     @property
     def m(self) -> Fraction:
@@ -106,14 +146,29 @@ def enumerate_fixed_points(params: Params, d: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class GradedBasis:
-    """Canonically ordered fixed-point classes per degree, up to a truncation."""
+class GradedBasis(Record):
+    """Canonically ordered fixed-point classes per degree, up to a truncation.
 
-    params: Params
-    max_degree: int
-    strata: tuple = field(repr=False)
-    _index: tuple = field(repr=False, default=None, compare=False)
+    ``strata[d]`` lists the labels of degree d; the position of each label
+    follows from it and takes no part in equality.
+    """
+
+    _fields = ("params", "max_degree", "strata")
+    __slots__ = _fields + ("_index",)
+
+    def __init__(self, params, max_degree, strata):
+        self._set(
+            params=params,
+            max_degree=max_degree,
+            strata=strata,
+            _index=tuple(
+                {entries: i for i, entries in enumerate(stratum)}
+                for stratum in strata
+            ),
+        )
+
+    def __repr__(self):
+        return f"GradedBasis(params={self.params!r}, max_degree={self.max_degree})"
 
     def stratum(self, d) -> tuple:
         if d < 0:
@@ -147,23 +202,24 @@ def build_graded_basis(params: Params, max_degree: int) -> GradedBasis:
     strata = tuple(
         tuple(enumerate_fixed_points(params, d)) for d in range(max_degree + 1)
     )
-    index = tuple(
-        {entries: i for i, entries in enumerate(stratum)} for stratum in strata
-    )
-    return GradedBasis(params=params, max_degree=max_degree, strata=strata, _index=index)
+    return GradedBasis(params, max_degree, strata)
 
 
-@dataclass(frozen=True)
-class StabilizerCocharacter:
+class StabilizerCocharacter(Record):
     """Exponent data of the one-parameter stabilizer of the curve datum.
 
     nu acts by (diag(nu^0, nu^k, ..., nu^{(n-1)k}), nu^{-k}, nu^n) on the
     pair (matrix, cyclic vector) and by loop rotation t -> nu^n t.
     """
 
-    diag_exponents: tuple
-    flavor_exponent: int
-    rot_exponent: int
+    _fields = __slots__ = ("diag_exponents", "flavor_exponent", "rot_exponent")
+
+    def __init__(self, diag_exponents, flavor_exponent, rot_exponent):
+        self._set(
+            diag_exponents=diag_exponents,
+            flavor_exponent=flavor_exponent,
+            rot_exponent=rot_exponent,
+        )
 
 
 def stabilizer_cocharacter(params: Params) -> StabilizerCocharacter:

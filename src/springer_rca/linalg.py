@@ -7,7 +7,9 @@ gcd reduction; a ``fractions.Fraction`` is made only where an entry is read.
 The blocks in this problem are very sparse (a few nonzeros per row), so
 elimination keeps every row as a sparse dict and touches only the rows that
 hold the current pivot column.  All results are exact: kernels found here
-are certificates, not approximations.
+are certificates, not approximations.  ``rank_mod`` runs the same walk over
+the numerators mod a prime; its rank never exceeds the rank over Q, so a
+full column rank mod p proves a zero kernel without rational arithmetic.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from math import gcd, lcm
 from .errors import DimensionError, InvariantError
 
 ZERO = Fraction(0)
+
+# the prime of the zero-kernel certificate (``RatMat.rank_mod``)
+PRIME = 2**61 - 1
 
 
 class RatMat:
@@ -277,6 +282,47 @@ class RatMat:
 
     def rank(self):
         return len(self.rref()[1])
+
+    def rank_mod(self, p):
+        """Rank of the numerator matrix ``num`` over the integers mod ``p``.
+
+        The same sparse column walk as ``rref``, without back-substitution.
+        It never exceeds ``rank()``: a minor that is nonzero mod p is a
+        nonzero integer, and ``num`` is the matrix times the positive scalar
+        ``den``.  So ``rank_mod(p) == ncols`` proves a zero kernel.
+        """
+        rows = {}
+        holders = {}
+        for (i, j), value in self.num.items():
+            value %= p
+            if value:
+                rows.setdefault(i, {})[j] = value
+                holders.setdefault(j, set()).add(i)
+        rank = 0
+        for c in sorted(holders):
+            live = holders.pop(c)
+            if not live:
+                continue
+            r = min(live, key=lambda i: (len(rows[i]), i))
+            live.discard(r)
+            prow = rows.pop(r)
+            inv = pow(prow.pop(c), -1, p)
+            prow = {j: v * inv % p for j, v in prow.items()}
+            for j in prow:
+                holders[j].discard(r)
+            for i in live:
+                row = rows[i]
+                factor = row.pop(c)
+                for j, v in prow.items():
+                    new = (row.get(j, 0) - factor * v) % p
+                    if new:
+                        row[j] = new
+                        holders[j].add(i)
+                    elif j in row:
+                        del row[j]
+                        holders[j].discard(i)
+            rank += 1
+        return rank
 
     def nullspace(self):
         """Canonical kernel basis: one vector per free column, unit there.

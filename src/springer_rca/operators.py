@@ -16,9 +16,16 @@ Every weight phi_a = a*k/n - B_a is an integer over n, and so is m, so every
 factor of N and D is an integer over n.  The assembly therefore works with
 the integer weights P = n * phi and forms n^#factors * N and n^#factors * D
 as integers; their ratio differs from N / D by n^#vector factors, a power
-fixed by the coweight.  Each entry goes to its block as an integer pair
-(numerator, positive denominator), and the block puts them over one
-denominator, so assembly makes no Fraction.
+fixed by the coweight.  For a minuscule coweight each target gap is the
+source gap plus n, so with P the *source* weights of A these are
+
+    prod_{lam_a < 0} P_a * prod_{lam_a > lam_b} (P_b - P_a - k),
+    prod_{lam_a > lam_b} (P_b - P_a),
+
+read from one table of source gaps per fixed point (``gap_table``) for the
+whole orbit.  Each entry goes to its block as an integer pair (numerator,
+positive denominator), and the block puts them over one denominator, so
+assembly makes no Fraction.
 
 Evaluating every factor at the *target* weights is the convention that
 reproduces the closed rank-two formulas.  The numerator above, evaluated at
@@ -35,12 +42,12 @@ twist and the sign of F.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, lcm, prod
+from operator import add
 
-from .core import is_admissible
+from .core import Record, is_admissible
 from .errors import DimensionError, InvariantError, TruncationError
 from .linalg import RatMat
 
@@ -77,12 +84,6 @@ class DressPolynomial:
         return cls.constant(nvars, 1)
 
     @classmethod
-    def variable(cls, nvars, index):
-        expo = [0] * nvars
-        expo[index] = 1
-        return cls(nvars, {tuple(expo): 1})
-
-    @classmethod
     def elementary(cls, nvars, degree, indices=None):
         """Elementary symmetric polynomial e_degree of the chosen variables."""
         indices = tuple(range(nvars)) if indices is None else tuple(indices)
@@ -93,18 +94,6 @@ class DressPolynomial:
                 expo[i] = 1
             terms[tuple(expo)] = 1
         return cls(nvars, terms)
-
-    def evaluate(self, values):
-        if len(values) != self.nvars:
-            raise DimensionError("evaluation point has wrong length")
-        total = Fraction(0)
-        for expo, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, expo):
-                for _ in range(e):
-                    term *= v
-            total += term
-        return total
 
     def integer_form(self, scale):
         """The polynomial at x / scale as integer terms over one denominator.
@@ -191,19 +180,17 @@ class DressPolynomial:
         return f"DressPolynomial({self.nvars}, {self.terms!r})"
 
 
-@dataclass(frozen=True)
-class MinusculeCoweight:
+class MinusculeCoweight(Record):
     """Coweight +/-(1,...,1,0,...,0) with r nonzero entries out of n."""
 
-    sign: int
-    r: int
-    n: int
+    _fields = __slots__ = ("sign", "r", "n")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, sign, r, n):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if not 1 <= self.r <= self.n:
-            raise ValueError(f"r must lie in [1, n], got r={self.r}, n={self.n}")
+        if not 1 <= r <= n:
+            raise ValueError(f"r must lie in [1, n], got r={r}, n={n}")
+        self._set(sign=sign, r=r, n=n)
 
     @classmethod
     def from_vector(cls, vector):
@@ -414,26 +401,17 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
-def monopole_factors(pairs, slots, weights, n, k):
-    """Integer numerator and denominator of one orbit term.
+def gap_table(weights, k):
+    """The factors of D and of N at one source point, as two flat tables.
 
-    ``weights`` are the target's integer weights P_a = n * phi_a, and
-    ``pairs`` and ``slots`` come from ``MinusculeCoweight.orbit_factors``.
-    Returns N and D of the module docstring, each multiplied by n to the
-    number of its factors:
-
-        prod_{slots} (P_a - n) * prod_{pairs} (P_b - P_a - k - n),
-        prod_{pairs} (P_b - P_a - n).
+    ``weights`` are the source's integer weights P_a = n * phi_a.  Entry
+    a * n + b of the first table is the gap P_b - P_a, the factor of D for
+    the pair (a, b), and of the second P_b - P_a - k, its factor of N.  The
+    second table goes on with the weights themselves: entry n * n + a is
+    P_a, the factor of N for the slot a.
     """
-    numerator = 1
-    for a in slots:
-        numerator *= weights[a] - n
-    denominator = 1
-    for a, b in pairs:
-        gap = weights[b] - weights[a]
-        numerator *= gap - k - n
-        denominator *= gap - n
-    return numerator, denominator
+    gaps = [pb - pa for pa in weights for pb in weights]
+    return gaps, [g - k for g in gaps] + weights
 
 
 def minuscule_monopole(basis, coweight, dress=None):
@@ -441,7 +419,9 @@ def minuscule_monopole(basis, coweight, dress=None):
 
     The dressing must be invariant under the stabilizer of the coweight in
     the symmetric group; each orbit term evaluates it at the target weights
-    through the orbit representative.
+    through the orbit representative.  N is taken from the source's gap
+    table for every orbit term, to check that a term leaving the moduli
+    vanishes; D and the target weights only for a term that can be stored.
     """
     params = basis.params
     params.require_coprime()
@@ -461,16 +441,20 @@ def minuscule_monopole(basis, coweight, dress=None):
     shift = coweight.shift
     # f(phi) = f(P / n): integer terms over dress_scale, read through rep
     dress_terms, dress_scale = dress.integer_form(n)
-    orbit = [
-        (
-            lam,
-            pairs,
-            slots,
-            scale * dress_scale,
-            [(c, [rep[i] for i in dslots]) for c, dslots in dress_terms],
+    # flat indices into the gap_table rows: N reads its pairs and then its
+    # slots, D its pairs alone
+    orbit = []
+    for lam, rep, pairs, slots, scale in coweight.orbit_factors():
+        pair_index = [a * n + b for a, b in pairs]
+        orbit.append(
+            (
+                lam,
+                pair_index + [n * n + a for a in slots],
+                pair_index,
+                scale * dress_scale,
+                [(c, [rep[i] for i in dslots]) for c, dslots in dress_terms],
+            )
         )
-        for lam, rep, pairs, slots, scale in coweight.orbit_factors()
-    ]
     offsets = [a * k for a in range(n)]
     blocks = {}
     for d in range(basis.max_degree - max(0, shift) + 1):
@@ -479,14 +463,14 @@ def minuscule_monopole(basis, coweight, dress=None):
         target_dim = basis.dim(target_degree) if target_degree >= 0 else 0
         ratios = {}
         for j, label in enumerate(source):
-            for lam, pairs, slots, scale, dressing in orbit:
-                target = tuple(label[a] + lam[a] for a in range(n))
-                weights = [o - n * b for o, b in zip(offsets, target)]
-                numerator, denominator = monopole_factors(
-                    pairs, slots, weights, n, k
-                )
+            weights = [o - n * a for o, a in zip(offsets, label)]
+            gaps, factors = gap_table(weights, k)
+            for lam, numerator_index, pair_index, scale, dressing in orbit:
+                numerator = prod(map(factors.__getitem__, numerator_index))
+                target = tuple(map(add, label, lam))
                 if is_admissible(target, params):
                     # nonzero by weight separation, which needs gcd(n,k)=1
+                    denominator = prod(map(gaps.__getitem__, pair_index))
                     if not denominator:
                         raise InvariantError(
                             f"zero denominator for {label} -> {target}"
@@ -495,7 +479,7 @@ def minuscule_monopole(basis, coweight, dress=None):
                         value = 0
                         for c, dslots in dressing:
                             for a in dslots:
-                                c *= weights[a]
+                                c *= weights[a] - n * lam[a]
                             value += c
                         if value:
                             i = basis.index(target_degree, target)

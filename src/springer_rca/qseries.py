@@ -1,4 +1,4 @@
-"""q-series combinatorics: Gaussian binomials, Euler characteristics, Betti numbers.
+"""q-series combinatorics: Gaussian binomials, Euler characteristics, dimensions.
 
 All arithmetic is exact over the integers.  A ``QPolynomial`` is a plain
 coefficient list indexed by the power of q, with trailing zeros trimmed.
@@ -74,9 +74,6 @@ class QPolynomial:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def is_palindromic(self):
-        return self.coeffs == tuple(reversed(self.coeffs))
-
     def __repr__(self):
         if not self.coeffs:
             return "QPolynomial([0])"
@@ -141,44 +138,3 @@ def compactified_jacobian_dim(params):
             f"(n, k) = ({n}, {k})"
         )
     return total // n
-
-
-def betti_2k(k, m):
-    """Poincare polynomial of the degree-m component for the x^2 = t^k curve.
-
-    ``m`` is the (nonpositive) lattice degree; the component for odd
-    k = 2l+1 is projective space P^min(floor(|m|/2), l).  For even k = 2l it
-    is P^floor(|m|/2) while |m| <= 2l, and for |m| > 2l a chain of
-    c = |m| - 2l + 1 copies of P^l glued transversely at points, with
-    b_0 = 1 and b_{2i} = c for 1 <= i <= l.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if m > 0:
-        raise ValueError("component degree m must be nonpositive")
-    size = -m
-    ell = k // 2
-    if k % 2 == 1:
-        dim = min(size // 2, ell)
-        return QPolynomial([1 if i % 2 == 0 else 0 for i in range(2 * dim + 1)])
-    if size <= 2 * ell:
-        dim = size // 2
-        return QPolynomial([1 if i % 2 == 0 else 0 for i in range(2 * dim + 1)])
-    copies = size - 2 * ell + 1
-    coeffs = [0] * (2 * ell + 1)
-    coeffs[0] = 1
-    for i in range(1, ell + 1):
-        coeffs[2 * i] = copies
-    return QPolynomial(coeffs)
-
-
-def chain_cell_count(k, m):
-    """Number of cells of the chain component: c copies of P^l share c-1 points."""
-    if k % 2 != 0:
-        raise ValueError("chain components only occur for even k")
-    size = -m
-    ell = k // 2
-    if size < 2 * ell:
-        raise ValueError("chain components require |m| >= k")
-    copies = size - 2 * ell + 1
-    return copies * (ell + 1) - (copies - 1)

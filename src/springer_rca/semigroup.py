@@ -11,29 +11,28 @@ per run counts every colength up to the truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from .core import Record
 from .errors import InvariantError, SearchBudgetError, UnsupportedParametersError
 
 DEFAULT_BUDGET = 24
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
+class NumericalSemigroup(Record):
     """The additive monoid {a*n + b*k : a, b >= 0} for coprime n, k."""
 
-    n: int
-    k: int
+    _fields = __slots__ = ("n", "k")
 
-    def __post_init__(self):
-        if self.n < 1 or self.k < 1:
+    def __init__(self, n, k):
+        if n < 1 or k < 1:
             raise ValueError("generators must be positive")
-        if gcd(self.n, self.k) != 1:
+        if gcd(n, k) != 1:
             raise UnsupportedParametersError(
-                f"generators ({self.n}, {self.k}) are not coprime; the gap "
+                f"generators ({n}, {k}) are not coprime; the gap "
                 "set of the semigroup is infinite"
             )
+        self._set(n=n, k=k)
 
     @property
     def frobenius(self):
@@ -49,11 +48,13 @@ class NumericalSemigroup:
         return [x for x in range(bound + 1) if x in self]
 
 
-@dataclass(frozen=True)
-class SemigroupIdeal:
+class SemigroupIdeal(Record):
     """A stable subset of the semigroup, recorded by its finite gap set."""
 
-    gaps: frozenset
+    _fields = __slots__ = ("gaps",)
+
+    def __init__(self, gaps):
+        self._set(gaps=gaps)
 
     @property
     def colength(self):

@@ -10,11 +10,11 @@ operator once for all the suites of a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, NamedTuple
 
-from .core import build_graded_basis, stabilizer_cocharacter
+from .core import Record, build_graded_basis, stabilizer_cocharacter
 from .errors import DimensionError, InvariantError, UnderTruncationError
 from .linalg import RatMat
 from .operators import (
@@ -26,26 +26,30 @@ from .operators import (
     zero_operator,
 )
 from .qseries import QPolynomial, compactified_jacobian_dim, euler_series
-from . import rank_two, semigroup
+from . import linalg, rank_two, semigroup
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one named check; failures always carry a witness."""
 
-    claim: str
-    n: int
-    k: int
-    max_degree: int | None
-    status: str
-    details: dict = field(default_factory=dict)
-    witness: dict | None = None
+    _fields = __slots__ = (
+        "claim", "n", "k", "max_degree", "status", "details", "witness"
+    )
 
-    def __post_init__(self):
-        if self.status not in ("pass", "fail"):
-            raise ValueError(f"status must be pass or fail, got {self.status!r}")
-        if self.status == "fail" and self.witness is None:
+    def __init__(self, claim, n, k, max_degree, status, details=None, witness=None):
+        if status not in ("pass", "fail"):
+            raise ValueError(f"status must be pass or fail, got {status!r}")
+        if status == "fail" and witness is None:
             raise ValueError("a failing report must carry a witness")
+        self._set(
+            claim=claim,
+            n=n,
+            k=k,
+            max_degree=max_degree,
+            status=status,
+            details={} if details is None else details,
+            witness=witness,
+        )
 
     @classmethod
     def of(cls, claim, params, max_degree, details, witness=None):
@@ -74,17 +78,23 @@ class VerificationReport:
         }
 
 
-@dataclass
-class GradedKernelSummary:
+class GradedKernelSummary(Record):
     """Per-degree kernel data with exact coordinate vectors."""
 
-    n: int
-    k: int
-    max_degree: int
-    operator: str
-    per_degree: dict
-    total: int
-    vectors: list
+    _fields = __slots__ = (
+        "n", "k", "max_degree", "operator", "per_degree", "total", "vectors"
+    )
+
+    def __init__(self, n, k, max_degree, operator, per_degree, total, vectors):
+        self._set(
+            n=n,
+            k=k,
+            max_degree=max_degree,
+            operator=operator,
+            per_degree=per_degree,
+            total=total,
+            vectors=vectors,
+        )
 
     def to_dict(self):
         return {
@@ -171,7 +181,9 @@ class Truncation:
     def f(self):
         """Rank-two lowering generator F = -F_2."""
         self.params.require_rank_two()
-        return self.monopole(-1, 2).scaled(-1)
+        if "F" not in self._operators:
+            self._operators["F"] = self.monopole(-1, 2).scaled(-1)
+        return self._operators["F"]
 
     @property
     def h(self):
@@ -253,49 +265,51 @@ def check_weyl_relation(run):
 
 
 def _rank_two_relations(run):
-    """Yield (relation, witness or None) for each rank-two identity in order.
+    """Yield (relation, thunk) for each rank-two identity in order.
 
-    The Casimir and the cubic relation are only computed once the
-    commutators have been read.  E F and F E serve both [E,F] and the
-    Casimir.
+    Calling a thunk builds its relation's two sides and returns the
+    witness or None, so a failing relation stops the check before any later
+    relation is built.  E F and F E serve both [E,F] and the Casimir, and
+    the Casimir serves the cubic relation; each is built once.
     """
     e, f, h = run.e, run.f, run.h
     x, y, basis = run.x, run.y, run.basis
-    ef, fe = e @ f, f @ e
-    relations = [
-        ("[E,F] = H", ef - fe, h),
-        ("[H,E] = 2E", commutator(h, e), e.scaled(2)),
-        ("[H,F] = -2F", commutator(h, f), f.scaled(-2)),
-        ("[H,X] = X", commutator(h, x), x),
-        ("[E,Y] = X", commutator(e, y), x),
-        ("[H,Y] = -Y", commutator(h, y), y.scaled(-1)),
-        ("[F,X] = Y", commutator(f, x), y),
-        ("[E,X] = 0", commutator(e, x), zero_operator(basis, 3)),
-        ("[F,Y] = 0", commutator(f, y), zero_operator(basis, -3)),
-    ]
-    for name, got, want in relations:
-        witness = first_mismatch(got, want)
-        if witness:
-            witness["relation"] = name
-        yield name, witness
+    ef_fe = cache(lambda: (e @ f, f @ e))
+    casimir = cache(lambda: (ef_fe()[0] + ef_fe()[1]).scaled(2) + h @ h)
 
-    casimir = (ef + fe).scaled(2) + h @ h
-    yield "Casimir diagonal", _casimir_witness(casimir, basis, run.ell)
+    def cubic_rhs():
+        w_plus = (x @ x).scaled(Fraction(1, 2))
+        w_zero = (x @ y + y @ x).scaled(Fraction(-1, 2))
+        w_minus = (y @ y).scaled(Fraction(-1, 2))
+        m = basis.params.m
+        return (
+            (e @ w_minus + f @ w_plus).scaled(2)
+            + h @ w_zero
+            + identity_operator(basis, scale=m * (m - 1))
+        )
 
-    w_plus = (x @ x).scaled(Fraction(1, 2))
-    w_zero = (x @ y + y @ x).scaled(Fraction(-1, 2))
-    w_minus = (y @ y).scaled(Fraction(-1, 2))
-    m = basis.params.m
-    rhs = (
-        (e @ w_minus + f @ w_plus).scaled(2)
-        + h @ w_zero
-        + identity_operator(basis, scale=m * (m - 1))
+    def relation(name, sides):
+        def witness():
+            found = first_mismatch(*sides())
+            if found:
+                found["relation"] = name
+            return found
+
+        return name, witness
+
+    yield relation("[E,F] = H", lambda: (ef_fe()[0] - ef_fe()[1], h))
+    yield relation("[H,E] = 2E", lambda: (commutator(h, e), e.scaled(2)))
+    yield relation("[H,F] = -2F", lambda: (commutator(h, f), f.scaled(-2)))
+    yield relation("[H,X] = X", lambda: (commutator(h, x), x))
+    yield relation("[E,Y] = X", lambda: (commutator(e, y), x))
+    yield relation("[H,Y] = -Y", lambda: (commutator(h, y), y.scaled(-1)))
+    yield relation("[F,X] = Y", lambda: (commutator(f, x), y))
+    yield relation("[E,X] = 0", lambda: (commutator(e, x), zero_operator(basis, 3)))
+    yield relation("[F,Y] = 0", lambda: (commutator(f, y), zero_operator(basis, -3)))
+    yield "Casimir diagonal", lambda: _casimir_witness(casimir(), basis, run.ell)
+    yield relation(
+        "C2 = 2(E W- + F W+) + H W0 + m(m-1)", lambda: (casimir(), cubic_rhs())
     )
-    name = "C2 = 2(E W- + F W+) + H W0 + m(m-1)"
-    witness = first_mismatch(casimir, rhs)
-    if witness:
-        witness["relation"] = name
-    yield name, witness
 
 
 def _casimir_witness(casimir, basis, ell):
@@ -343,7 +357,8 @@ def check_sl2_and_casimir(run):
     run.params.require_rank_two()
     run.require_degree(sl2_degree(run.params), "the rank-two relations are checked")
     checked = []
-    for name, witness in _rank_two_relations(run):
+    for name, thunk in _rank_two_relations(run):
+        witness = thunk()
         if witness:
             break
         checked.append(name)
@@ -357,12 +372,20 @@ def check_sl2_and_casimir(run):
 
 
 def _verified_nullspace(blocks, dim):
-    """Nullspace of stacked blocks, re-verified by multiplying back."""
+    """Nullspace of stacked blocks, proved zero mod p or re-verified exactly.
+
+    A full column rank mod ``linalg.PRIME`` proves the kernel is zero, since
+    the rank mod p never exceeds the rank over Q.  Any other block takes the
+    exact nullspace, and each of its vectors is multiplied back; so does a
+    block with fewer rows than columns, whose kernel cannot be zero.
+    """
     stacked = RatMat.vstack(blocks) if len(blocks) > 1 else blocks[0]
     if stacked.ncols != dim:
         raise InvariantError(
             f"stacked blocks have {stacked.ncols} columns, basis has {dim}"
         )
+    if stacked.nrows >= dim and stacked.rank_mod(linalg.PRIME) == dim:
+        return []
     vectors = stacked.nullspace()
     # matvec sums integer numerators; the positive den cannot make a sum 0
     for index, vec in enumerate(vectors):

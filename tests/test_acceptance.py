@@ -11,7 +11,6 @@ from math import comb, gcd
 
 from springer_rca import (
     Params,
-    betti_2k,
     build_graded_basis,
     compactified_jacobian_dim,
     count_ideals,
@@ -25,11 +24,7 @@ from springer_rca import (
     singular_vectors,
     verify_stabilizer,
 )
-from springer_rca.operators import (
-    MinusculeCoweight,
-    commutator,
-    monopole_factors,
-)
+from springer_rca.operators import MinusculeCoweight, commutator
 from springer_rca.rank_two import lowest_weight
 from springer_rca.verify import (
     check_closed_forms,
@@ -37,6 +32,8 @@ from springer_rca.verify import (
     check_y_kernel_vectors,
     first_mismatch,
 )
+from test_operators import source_factors
+from test_qseries import betti_2k
 
 PAIRS = [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (4, 5)]
 
@@ -194,8 +191,8 @@ def test_criterion_11_boundary_vanishing():
                             if is_admissible(target, params):
                                 continue
                             checked += 1
-                            weights = [a * k - n * b for a, b in enumerate(target)]
-                            numerator, _ = monopole_factors(pairs, slots, weights, n, k)
+                            weights = [a * k - n * b for a, b in enumerate(label)]
+                            numerator, _ = source_factors(pairs, slots, weights, n, k)
                             if numerator != 0:
                                 ok = False
     _finish(11, "numerator vanishes on inadmissible targets", ok, f" ({checked} terms)")

@@ -1,6 +1,9 @@
 """CLI contract: commands, exit codes, determinism, config handling."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -266,6 +269,22 @@ def test_verify_oracle_alone_past_its_budget_exits_2(capsys):
     assert "search budget 24" in err
 
 
+def test_cli_import_loads_no_dataclasses_inspect_or_csv():
+    # -S keeps site hooks out, so only the package's own imports count
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import springer_rca.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_verify_all_builds_basis_and_each_operator_once(capsys, monkeypatch):
     calls = {"basis": 0, "operator": 0}
 
@@ -356,11 +375,12 @@ def test_verify_csv(capsys):
 
 
 def test_verify_invariant_violation_exits_5(capsys, monkeypatch):
+    # Y has a nonzero kernel at degree 2, so its exact nullspace runs there
     monkeypatch.setattr(
         RatMat, "nullspace", lambda self: [[Fraction(1)] * self.ncols]
     )
     code, out, err = run_cli(
-        capsys, "verify", "--suite", "singular", "--n", "2", "--k", "3",
+        capsys, "verify", "--suite", "kernel-y", "--n", "2", "--k", "3",
         "--max-degree", "4",
     )
     assert code == 5

@@ -1,5 +1,7 @@
 """Fixed-point enumeration against an independent brute-force search."""
 
+import copy
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -23,7 +25,7 @@ def phi_weights(entries, params):
     The a-th component is (a-1)*k/n - A_a (with hbar = 1).  For coprime
     (n, k) the differences phi_a - phi_b (a != b) are never integers, which
     keeps all localization denominators nonzero.  The package works with
-    the integer weights n * phi instead (``operators.monopole_factors``).
+    the integer weights n * phi instead (``operators.gap_table``).
     """
     if len(entries) != params.n:
         raise DimensionError(
@@ -151,3 +153,21 @@ def test_params_validation():
         Params(2, 0)
     p = Params(5, 3)
     assert p.n * p.m + p.k * p.hbar == 0
+
+
+def test_records_are_immutable_values():
+    p = Params(2, 3)
+    assert p == Params(2, 3) and hash(p) == hash(Params(2, 3))
+    assert p != Params(2, 5)
+    assert repr(p) == "Params(n=2, k=3)"
+    with pytest.raises(AttributeError):
+        p.n = 4
+    with pytest.raises(AttributeError):
+        del p.k
+    assert build_graded_basis(p, 4) == build_graded_basis(Params(2, 3), 4)
+    assert build_graded_basis(p, 4) != build_graded_basis(p, 5)
+    assert len({stabilizer_cocharacter(p), stabilizer_cocharacter(Params(2, 3))}) == 1
+    basis = build_graded_basis(p, 4)
+    for record in (p, basis, stabilizer_cocharacter(p)):
+        assert copy.copy(record) == pickle.loads(pickle.dumps(record)) == record
+    assert pickle.loads(pickle.dumps(basis)).index(4, (1, 3)) == basis.index(4, (1, 3))

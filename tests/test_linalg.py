@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from springer_rca import DimensionError, InvariantError, Params
-from springer_rca.linalg import RatMat
+from springer_rca.linalg import PRIME, RatMat
 from springer_rca.verify import Truncation, kernel_y, singular_vectors, stabilization_degree
 
 
@@ -265,6 +265,19 @@ def test_sparse_rref_matches_dense_reference(m):
     assert basis == reference_nullspace(m)
     for vec in basis:
         assert all(v == 0 for v in m.matvec(vec))
+
+
+@settings(deadline=None)
+@given(sparse_matrices(), st.sampled_from([2, 3, 5, 7, PRIME]))
+def test_rank_mod_never_exceeds_rank(m, p):
+    assert m.rank_mod(p) <= m.rank()
+
+
+def test_rank_mod_drops_at_a_prime_dividing_the_numerators():
+    m = mat([[2, 4], [Fraction(1, 3), 1]])  # numerators [[6, 12], [1, 3]]
+    assert (m.rank(), m.rank_mod(PRIME), m.rank_mod(3), m.rank_mod(2)) == (2, 2, 1, 1)
+    assert mat([[2]]).rank_mod(2) == 0
+    assert RatMat(3, 0).rank_mod(PRIME) == RatMat(0, 3).rank_mod(PRIME) == 0
 
 
 def assert_canonical(m):

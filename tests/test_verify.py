@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -14,6 +13,7 @@ from springer_rca import (
     InvariantError,
     Params,
     SemigroupIdeal,
+    StabilizerCocharacter,
     UnderTruncationError,
     UnsupportedParametersError,
     build_graded_basis,
@@ -24,10 +24,15 @@ from springer_rca import (
     singular_vectors,
     stabilizer_cocharacter,
 )
-from springer_rca import operators, rank_two
+from springer_rca import linalg, operators, rank_two, verify
 from springer_rca.cli import main
 from springer_rca.linalg import RatMat
-from springer_rca.operators import DressPolynomial, minuscule_monopole
+from springer_rca.operators import (
+    DressPolynomial,
+    GradedOperator,
+    minuscule_monopole,
+    operator_h,
+)
 from springer_rca.verify import (
     SUITES,
     Truncation,
@@ -87,12 +92,13 @@ def sympy_stabilizer_fixes(n, k, cocharacter):
 def _perturbed(cocharacter):
     """One cocharacter off by one in each of diag (every slot), flavor, rot."""
     d = cocharacter.diag_exponents
+    flavor, rot = cocharacter.flavor_exponent, cocharacter.rot_exponent
     out = [
-        replace(cocharacter, diag_exponents=d[:a] + (d[a] + 1,) + d[a + 1 :])
+        StabilizerCocharacter(d[:a] + (d[a] + 1,) + d[a + 1 :], flavor, rot)
         for a in range(len(d))
     ]
-    out.append(replace(cocharacter, flavor_exponent=cocharacter.flavor_exponent + 1))
-    out.append(replace(cocharacter, rot_exponent=cocharacter.rot_exponent + 1))
+    out.append(StabilizerCocharacter(d, flavor + 1, rot))
+    out.append(StabilizerCocharacter(d, flavor, rot + 1))
     return out
 
 
@@ -303,22 +309,19 @@ def test_stabilizer_matches_sympy_reference(n, k):
 @pytest.mark.parametrize("n,k", [(1, 4), (2, 3), (3, 5), (5, 9)])
 def test_stabilizer_perturbations_carry_witnesses(n, k):
     cocharacter = stabilizer_cocharacter(Params(n, k))
-    flavor = replace(cocharacter, flavor_exponent=cocharacter.flavor_exponent - 1)
-    assert stabilizer_witness(flavor, k) == {
+    d = cocharacter.diag_exponents
+    flavor, rot = cocharacter.flavor_exponent, cocharacter.rot_exponent
+    assert stabilizer_witness(StabilizerCocharacter(d, flavor - 1, rot), k) == {
         "entry": [0, n - 1], "t_power": k, "nu_exponent": -1,
     }
-    rot = replace(cocharacter, rot_exponent=cocharacter.rot_exponent + 2)
-    assert stabilizer_witness(rot, k) == {
+    assert stabilizer_witness(StabilizerCocharacter(d, flavor, rot + 2), k) == {
         "entry": [0, n - 1], "t_power": k, "nu_exponent": 2 * k,
     }
     # shifting every diagonal exponent fixes the matrix but moves e_1
-    shifted = replace(
-        cocharacter, diag_exponents=tuple(d + 3 for d in cocharacter.diag_exponents)
-    )
+    shifted = StabilizerCocharacter(tuple(a + 3 for a in d), flavor, rot)
     assert stabilizer_witness(shifted, k) == {"cyclic_vector": "e_1", "nu_exponent": 3}
     if n > 1:
-        d = cocharacter.diag_exponents
-        diag = replace(cocharacter, diag_exponents=d[:-1] + (d[-1] + 1,))
+        diag = StabilizerCocharacter(d[:-1] + (d[-1] + 1,), flavor, rot)
         assert stabilizer_witness(diag, k) == {
             "entry": [0, n - 1], "t_power": k, "nu_exponent": -1,
         }
@@ -409,13 +412,84 @@ def _wrong_nullspace(self):
     return [[Fraction(1)] * self.ncols]
 
 
+def _one_free_column():
+    """A 1 x 2 block with a nonzero kernel, so the exact nullspace runs."""
+    return RatMat(1, 2, {(0, 0): Fraction(1)})
+
+
 def test_verified_nullspace_rejects_wrong_kernel(monkeypatch):
-    block = RatMat.identity(2)
+    block = _one_free_column()
     monkeypatch.setattr(RatMat, "nullspace", _wrong_nullspace)
     with pytest.raises(InvariantError, match="not annihilated"):
         _verified_nullspace([block], 2)
     with pytest.raises(InvariantError, match="columns"):
         _verified_nullspace([block], 3)
+
+
+def _recorded_nullspaces(monkeypatch):
+    """The shape of each block whose exact nullspace runs from now on."""
+    shapes = []
+    exact = RatMat.nullspace
+
+    def recorded(self):
+        shapes.append(self.shape)
+        return exact(self)
+
+    monkeypatch.setattr(RatMat, "nullspace", recorded)
+    return shapes
+
+
+def test_singular_takes_the_exact_nullspace_only_at_degree_0(monkeypatch):
+    shapes = _recorded_nullspaces(monkeypatch)
+    assert check_singular_vectors(Truncation(Params(5, 6), 20)).passed
+    # every lowering block at degree 0 has no rows; every later degree is
+    # certified by its rank mod p
+    assert shapes == [(0, 1)]
+
+
+def test_bad_prime_takes_the_exact_route(monkeypatch):
+    block = RatMat(1, 1, {(0, 0): Fraction(2)})  # rank 1 over Q, rank 0 mod 2
+    shapes = _recorded_nullspaces(monkeypatch)
+    assert _verified_nullspace([block], 1) == []
+    assert shapes == []
+    monkeypatch.setattr(linalg, "PRIME", 2)
+    assert _verified_nullspace([block], 1) == []
+    assert shapes == [(1, 1)]
+
+
+def test_bad_prime_gives_the_same_report(monkeypatch, capsys):
+    argv = ["verify", "--suite", "singular", "--n", "3", "--k", "4", "--max-degree", "12"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    shapes = _recorded_nullspaces(monkeypatch)
+    monkeypatch.setattr(linalg, "PRIME", 2)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert len(shapes) == 12  # mod 2 no degree is certified
+
+
+def test_failing_relation_stops_after_its_own_products(monkeypatch):
+    # a doubled H breaks [E,F] = H, the first relation: only E F and F E are
+    # composed, and no later relation is built
+    monkeypatch.setattr(verify, "operator_h", lambda basis: operator_h(basis).scaled(2))
+    run = Truncation(Params(2, 5), 10)
+    compositions = []
+    compose = GradedOperator.__matmul__
+
+    def counted(self, other):
+        compositions.append((self.shift, other.shift))
+        return compose(self, other)
+
+    monkeypatch.setattr(GradedOperator, "__matmul__", counted)
+    report = check_sl2_and_casimir(run)
+    assert report.witness["relation"] == "[E,F] = H"
+    assert report.details["relations_checked"] == []
+    assert compositions == [(2, -2), (-2, 2)]
+
+
+def test_truncation_builds_f_once():
+    run = Truncation(Params(2, 3), 6)
+    assert run.f is run.f
 
 
 def _run_python(code, *flags):
@@ -437,7 +511,7 @@ def test_verified_nullspace_check_survives_optimize_flag():
         "from springer_rca.verify import _verified_nullspace\n"
         "RatMat.nullspace = lambda self: [[Fraction(1)] * self.ncols]\n"
         "try:\n"
-        "    _verified_nullspace([RatMat.identity(2)], 2)\n"
+        "    _verified_nullspace([RatMat(1, 2, {(0, 0): Fraction(1)})], 2)\n"
         "except InvariantError:\n"
         "    print('raised')\n"
     )
@@ -446,21 +520,22 @@ def test_verified_nullspace_check_survives_optimize_flag():
     assert result.stdout.strip() == "raised"
 
 
-def _nonvanishing_factors(pairs, slots, weights, n, k):
-    return 1, 1
+def _nonvanishing_factors(weights, k):
+    """Gap tables in which every factor of N and of D is 1."""
+    return [1] * len(weights) ** 2, [1] * (len(weights) ** 2 + len(weights))
 
 
 def test_boundary_vanishing_violation_raises(monkeypatch):
     # with a numerator that never vanishes, X's terms to inadmissible targets
     # such as |1, 0> (from the vacuum) must be refused
-    monkeypatch.setattr(operators, "monopole_factors", _nonvanishing_factors)
+    monkeypatch.setattr(operators, "gap_table", _nonvanishing_factors)
     basis = build_graded_basis(Params(2, 3), 4)
     with pytest.raises(InvariantError, match="leaves the moduli"):
         minuscule_monopole(basis, (1, 0))
 
 
 def test_boundary_vanishing_violation_exits_5(monkeypatch, capsys):
-    monkeypatch.setattr(operators, "monopole_factors", _nonvanishing_factors)
+    monkeypatch.setattr(operators, "gap_table", _nonvanishing_factors)
     code = main(["verify", "--suite", "weyl", "--n", "2", "--k", "3", "--max-degree", "4"])
     captured = capsys.readouterr()
     assert code == 5
@@ -472,7 +547,7 @@ def test_boundary_vanishing_check_survives_optimize_flag():
     code = (
         "from springer_rca import InvariantError, Params, build_graded_basis\n"
         "from springer_rca import operators\n"
-        "operators.monopole_factors = lambda pairs, slots, weights, n, k: (1, 1)\n"
+        "operators.gap_table = lambda weights, k: ([1] * 4, [1] * 6)\n"
         "try:\n"
         "    operators.minuscule_monopole(build_graded_basis(Params(2, 3), 4), (1, 0))\n"
         "except InvariantError:\n"
@@ -487,7 +562,7 @@ def test_zero_denominator_check_survives_optimize_flag():
     code = (
         "from springer_rca import InvariantError, Params, build_graded_basis\n"
         "from springer_rca import operators\n"
-        "operators.monopole_factors = lambda pairs, slots, weights, n, k: (0, 0)\n"
+        "operators.gap_table = lambda weights, k: ([0] * 4, [0] * 6)\n"
         "try:\n"
         "    operators.minuscule_monopole(build_graded_basis(Params(2, 3), 4), (1, 0))\n"
         "except InvariantError as exc:\n"
