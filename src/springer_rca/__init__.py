@@ -20,7 +20,6 @@ from .core import (
 from .errors import (
     DimensionError,
     InvariantError,
-    SearchBudgetError,
     SpringerRcaError,
     TruncationError,
     UnderTruncationError,

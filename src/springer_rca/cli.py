@@ -17,7 +17,6 @@ from . import __version__
 from .core import Params
 from .errors import (
     InvariantError,
-    SearchBudgetError,
     SpringerRcaError,
     UnderTruncationError,
     UnsupportedParametersError,
@@ -157,10 +156,6 @@ def _params(args):
         raise UsageError(str(exc))
 
 
-def _rational(value):
-    return str(value)
-
-
 def _emit(args, payload, csv_rows):
     if (args.format or "json") == "json":
         text = json.dumps(payload, indent=2) + "\n"
@@ -258,7 +253,7 @@ def cmd_operator(args):
     for d in sorted(op.blocks):
         block = op.blocks[d]
         entries = [
-            [i, j, _rational(value)] for (i, j), value in block.sorted_entries()
+            [i, j, str(value)] for (i, j), value in block.sorted_entries()
         ]
         blocks.append(
             {
@@ -302,6 +297,13 @@ def cmd_verify(args):
     return EXIT_OK if all_passed else 1
 
 
+COMMANDS = {
+    "fixed-points": cmd_fixed_points,
+    "operator": cmd_operator,
+    "verify": cmd_verify,
+}
+
+
 def main(argv=None):
     parser, command_parsers = _build_parser()
     try:
@@ -312,17 +314,8 @@ def main(argv=None):
         args = _merge_config(args, command_parsers[args.command])
         if args.max_degree is not None and args.max_degree < 0:
             raise UsageError("--max-degree must be nonnegative")
-        if args.command == "fixed-points":
-            return cmd_fixed_points(args)
-        if args.command == "operator":
-            return cmd_operator(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SearchBudgetError as exc:
+        return COMMANDS[args.command](args)
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except UnderTruncationError as exc:
@@ -334,9 +327,6 @@ def main(argv=None):
     except InvariantError as exc:
         print(f"error: invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

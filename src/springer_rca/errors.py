@@ -29,10 +29,6 @@ class TruncationError(SpringerRcaError, ValueError):
     """A vector or operator was used outside its truncated domain."""
 
 
-class SearchBudgetError(SpringerRcaError, ValueError):
-    """A brute-force search exceeded its configured budget."""
-
-
 class InvariantError(SpringerRcaError):
     """An internal check behind a certificate failed.
 

@@ -215,54 +215,16 @@ class RatMat:
         """Reduced row echelon form; returns (rows, pivot column list).
 
         ``rows[r]`` is the reduced row of pivot column ``pivots[r]`` as a
-        sparse ``{column: Fraction}`` dict with a 1 at the pivot.  Rows stay
-        sparse throughout: the columns are walked left to right, each pivot is
-        the shortest remaining row holding that column, and only the rows that
-        hold it (found through a column-to-rows index) are eliminated.  A
-        right-to-left back-substitution then clears the entries above each
-        pivot.  The reduced form over Q is unique, so the result does not
-        depend on which rows were picked as pivots.
+        sparse ``{column: Fraction}`` dict with a 1 at the pivot.  The
+        column walk of ``_eliminate`` leaves each pivot row free of earlier
+        pivot columns; a right-to-left back-substitution then clears the
+        entries above each pivot.  The reduced form over Q is unique, so the
+        result does not depend on which rows were picked as pivots.
         """
-        rows = {}
-        # column -> rows not yet used as a pivot that hold a nonzero there
-        holders = {}
         den = self.den
-        for (i, j), value in self.num.items():
-            rows.setdefault(i, {})[j] = Fraction(value, den)
-            holders.setdefault(j, set()).add(i)
-
-        pivots = []
-        reduced = []
-        for c in sorted(holders):
-            live = holders.pop(c)
-            if not live:
-                continue
-            # earlier columns are cleared from every live row, so c leads each
-            p = min(live, key=lambda i: (len(rows[i]), i))
-            live.discard(p)
-            prow = rows.pop(p)
-            inv = 1 / prow.pop(c)
-            prow = {j: v * inv for j, v in prow.items()}
-            for j in prow:
-                holders[j].discard(p)
-            for i in live:
-                row = rows[i]
-                factor = row.pop(c)
-                for j, v in prow.items():
-                    old = row.get(j)
-                    if old is None:
-                        row[j] = -factor * v
-                        holders[j].add(i)
-                    else:
-                        new = old - factor * v
-                        if new:
-                            row[j] = new
-                        else:
-                            del row[j]
-                            holders[j].discard(i)
-            pivots.append(c)
-            reduced.append(prow)
-
+        reduced, pivots = _eliminate(
+            ((key, Fraction(value, den)) for key, value in self.num.items())
+        )
         # back-substitution: no reduced row holds another pivot column, so
         # each pivot entry above the diagonal is cleared independently
         pivot_index = {c: r for r, c in enumerate(pivots)}
@@ -286,43 +248,12 @@ class RatMat:
     def rank_mod(self, p):
         """Rank of the numerator matrix ``num`` over the integers mod ``p``.
 
-        The same sparse column walk as ``rref``, without back-substitution.
-        It never exceeds ``rank()``: a minor that is nonzero mod p is a
-        nonzero integer, and ``num`` is the matrix times the positive scalar
-        ``den``.  So ``rank_mod(p) == ncols`` proves a zero kernel.
+        The column walk of ``rref`` run mod p.  It never exceeds ``rank()``:
+        a minor that is nonzero mod p is a nonzero integer, and ``num`` is
+        the matrix times the positive scalar ``den``.  So
+        ``rank_mod(p) == ncols`` proves a zero kernel.
         """
-        rows = {}
-        holders = {}
-        for (i, j), value in self.num.items():
-            value %= p
-            if value:
-                rows.setdefault(i, {})[j] = value
-                holders.setdefault(j, set()).add(i)
-        rank = 0
-        for c in sorted(holders):
-            live = holders.pop(c)
-            if not live:
-                continue
-            r = min(live, key=lambda i: (len(rows[i]), i))
-            live.discard(r)
-            prow = rows.pop(r)
-            inv = pow(prow.pop(c), -1, p)
-            prow = {j: v * inv % p for j, v in prow.items()}
-            for j in prow:
-                holders[j].discard(r)
-            for i in live:
-                row = rows[i]
-                factor = row.pop(c)
-                for j, v in prow.items():
-                    new = (row.get(j, 0) - factor * v) % p
-                    if new:
-                        row[j] = new
-                        holders[j].add(i)
-                    elif j in row:
-                        del row[j]
-                        holders[j].discard(i)
-            rank += 1
-        return rank
+        return len(_eliminate(((key, v % p) for key, v in self.num.items()), p)[1])
 
     def nullspace(self):
         """Canonical kernel basis: one vector per free column, unit there.
@@ -344,6 +275,61 @@ class RatMat:
                 if fc != pc:
                     basis[fc][pc] = -value
         return list(basis.values())
+
+
+def _eliminate(entries, p=None):
+    """Forward elimination of the sparse ``entries`` ((i, j), value).
+
+    Over Q the values are Fractions; with a prime ``p`` they are integers
+    reduced mod p, and zero ones are dropped.  Returns (rows, pivot column
+    list): ``rows[r]`` is the pivot row of column ``pivots[r]`` scaled to a
+    1 there, stored without that entry, and free of every earlier pivot
+    column.  Rows stay sparse throughout: the columns are walked left to
+    right, each pivot is the shortest remaining row holding that column, and
+    only the rows that hold it (found through a column-to-rows index) are
+    eliminated.
+    """
+    rows = {}
+    # column -> rows not yet used as a pivot that hold a nonzero there
+    holders = {}
+    for (i, j), value in entries:
+        if value:
+            rows.setdefault(i, {})[j] = value
+            holders.setdefault(j, set()).add(i)
+    pivots = []
+    reduced = []
+    for c in sorted(holders):
+        live = holders.pop(c)
+        if not live:
+            continue
+        # earlier columns are cleared from every live row, so c leads each
+        r = min(live, key=lambda i: (len(rows[i]), i))
+        live.discard(r)
+        prow = rows.pop(r)
+        if p is None:
+            inv = 1 / prow.pop(c)
+            prow = {j: v * inv for j, v in prow.items()}
+        else:
+            inv = pow(prow.pop(c), -1, p)
+            prow = {j: v * inv % p for j, v in prow.items()}
+        for j in prow:
+            holders[j].discard(r)
+        for i in live:
+            row = rows[i]
+            factor = row.pop(c)
+            for j, v in prow.items():
+                new = row.get(j, 0) - factor * v
+                if p is not None:
+                    new %= p
+                if new:
+                    row[j] = new
+                    holders[j].add(i)
+                elif j in row:
+                    del row[j]
+                    holders[j].discard(i)
+        pivots.append(c)
+        reduced.append(prow)
+    return reduced, pivots
 
 
 class _Entries(Mapping):

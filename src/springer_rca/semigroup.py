@@ -14,9 +14,7 @@ from __future__ import annotations
 from math import gcd
 
 from .core import Record
-from .errors import InvariantError, SearchBudgetError, UnsupportedParametersError
-
-DEFAULT_BUDGET = 24
+from .errors import InvariantError, UnsupportedParametersError
 
 
 class NumericalSemigroup(Record):
@@ -76,7 +74,7 @@ class SemigroupIdeal(Record):
         return True
 
 
-def enumerate_gap_sets(n, k, m, budget=DEFAULT_BUDGET):
+def enumerate_gap_sets(n, k, m):
     """Every gap set of colength at most m, each once, from one search.
 
     A gap set of colength at most m lies in [0, F + m*n], F the Frobenius
@@ -93,10 +91,6 @@ def enumerate_gap_sets(n, k, m, budget=DEFAULT_BUDGET):
     semigroup = NumericalSemigroup(n, k)
     if m < 0:
         raise ValueError("colength must be nonnegative")
-    if m > budget:
-        raise SearchBudgetError(
-            f"colength {m} exceeds the search budget {budget}"
-        )
     frobenius = semigroup.frobenius
     window = semigroup.elements_up_to(frobenius + m * n)
     members = set(window)
@@ -122,7 +116,7 @@ def enumerate_gap_sets(n, k, m, budget=DEFAULT_BUDGET):
     return found
 
 
-def count_ideals(n, k, m, budget=DEFAULT_BUDGET):
+def count_ideals(n, k, m):
     """Numbers of semigroup ideals of colength 0, 1, ..., m, from one search.
 
     Each gap set is re-verified against the definition of stability before
@@ -130,7 +124,7 @@ def count_ideals(n, k, m, budget=DEFAULT_BUDGET):
     """
     semigroup = NumericalSemigroup(n, k)
     counts = [0] * (m + 1)
-    for ideal in enumerate_gap_sets(n, k, m, budget=budget):
+    for ideal in enumerate_gap_sets(n, k, m):
         if not ideal.is_stable(semigroup):
             raise InvariantError(
                 f"gap set {sorted(ideal.gaps)} of <{n}, {k}> is not stable"
@@ -157,7 +151,7 @@ def compare_with_fixed_points(run):
         if a != b:
             witness = {"degree": d, "ideal_count": a, "fixed_point_count": b}
             break
-    return VerificationReport.of(
+    return VerificationReport(
         "semigroup ideal counts match fixed-point counts",
         params,
         run.max_degree,

@@ -11,7 +11,6 @@ operator once for all the suites of a run.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from typing import Callable, NamedTuple
 
 from .core import Record, build_graded_basis, stabilizer_cocharacter
@@ -30,48 +29,33 @@ from . import linalg, rank_two, semigroup
 
 
 class VerificationReport(Record):
-    """Outcome of one named check; failures always carry a witness."""
+    """Outcome of one named check; it passes exactly when it has no witness."""
 
-    _fields = __slots__ = (
-        "claim", "n", "k", "max_degree", "status", "details", "witness"
-    )
+    _fields = __slots__ = ("claim", "params", "max_degree", "details", "witness")
 
-    def __init__(self, claim, n, k, max_degree, status, details=None, witness=None):
-        if status not in ("pass", "fail"):
-            raise ValueError(f"status must be pass or fail, got {status!r}")
-        if status == "fail" and witness is None:
-            raise ValueError("a failing report must carry a witness")
+    def __init__(self, claim, params, max_degree, details, witness=None):
         self._set(
             claim=claim,
-            n=n,
-            k=k,
+            params=params,
             max_degree=max_degree,
-            status=status,
-            details={} if details is None else details,
-            witness=witness,
-        )
-
-    @classmethod
-    def of(cls, claim, params, max_degree, details, witness=None):
-        """The report on ``params``; it passes exactly when there is no witness."""
-        return cls(
-            claim=claim,
-            n=params.n,
-            k=params.k,
-            max_degree=max_degree,
-            status="pass" if witness is None else "fail",
             details=details,
             witness=witness,
         )
 
     @property
+    def status(self):
+        return "pass" if self.witness is None else "fail"
+
+    @property
     def passed(self):
-        return self.status == "pass"
+        return self.witness is None
 
     def to_dict(self):
         return {
             "claim": self.claim,
-            "params": {"n": self.n, "k": self.k, "max_degree": self.max_degree},
+            "params": {
+                "n": self.params.n, "k": self.params.k, "max_degree": self.max_degree
+            },
             "status": self.status,
             "details": _json_safe(self.details),
             "witness": _json_safe(self.witness),
@@ -244,7 +228,7 @@ def weyl_report(x, y, basis, max_check):
     comm = commutator(x, y)
     expected = identity_operator(basis, scale=n)
     degrees = range(min(max_check, comm.max_source) + 1)
-    return VerificationReport.of(
+    return VerificationReport(
         "commutator of X and Y is n times the identity",
         basis.params,
         basis.max_degree,
@@ -265,51 +249,37 @@ def check_weyl_relation(run):
 
 
 def _rank_two_relations(run):
-    """Yield (relation, thunk) for each rank-two identity in order.
+    """Yield (relation, witness or None) for each rank-two identity in order.
 
-    Calling a thunk builds its relation's two sides and returns the
-    witness or None, so a failing relation stops the check before any later
-    relation is built.  E F and F E serve both [E,F] and the Casimir, and
-    the Casimir serves the cubic relation; each is built once.
+    Each relation's two sides are built only when the generator reaches it,
+    so a caller that stops at the first witness builds no later relation.
+    E F and F E serve both [E,F] and the Casimir, and the Casimir serves the
+    cubic relation; each is built once.
     """
     e, f, h = run.e, run.f, run.h
     x, y, basis = run.x, run.y, run.basis
-    ef_fe = cache(lambda: (e @ f, f @ e))
-    casimir = cache(lambda: (ef_fe()[0] + ef_fe()[1]).scaled(2) + h @ h)
-
-    def cubic_rhs():
-        w_plus = (x @ x).scaled(Fraction(1, 2))
-        w_zero = (x @ y + y @ x).scaled(Fraction(-1, 2))
-        w_minus = (y @ y).scaled(Fraction(-1, 2))
-        m = basis.params.m
-        return (
-            (e @ w_minus + f @ w_plus).scaled(2)
-            + h @ w_zero
-            + identity_operator(basis, scale=m * (m - 1))
-        )
-
-    def relation(name, sides):
-        def witness():
-            found = first_mismatch(*sides())
-            if found:
-                found["relation"] = name
-            return found
-
-        return name, witness
-
-    yield relation("[E,F] = H", lambda: (ef_fe()[0] - ef_fe()[1], h))
-    yield relation("[H,E] = 2E", lambda: (commutator(h, e), e.scaled(2)))
-    yield relation("[H,F] = -2F", lambda: (commutator(h, f), f.scaled(-2)))
-    yield relation("[H,X] = X", lambda: (commutator(h, x), x))
-    yield relation("[E,Y] = X", lambda: (commutator(e, y), x))
-    yield relation("[H,Y] = -Y", lambda: (commutator(h, y), y.scaled(-1)))
-    yield relation("[F,X] = Y", lambda: (commutator(f, x), y))
-    yield relation("[E,X] = 0", lambda: (commutator(e, x), zero_operator(basis, 3)))
-    yield relation("[F,Y] = 0", lambda: (commutator(f, y), zero_operator(basis, -3)))
-    yield "Casimir diagonal", lambda: _casimir_witness(casimir(), basis, run.ell)
-    yield relation(
-        "C2 = 2(E W- + F W+) + H W0 + m(m-1)", lambda: (casimir(), cubic_rhs())
+    ef, fe = e @ f, f @ e
+    yield "[E,F] = H", first_mismatch(ef - fe, h)
+    yield "[H,E] = 2E", first_mismatch(commutator(h, e), e.scaled(2))
+    yield "[H,F] = -2F", first_mismatch(commutator(h, f), f.scaled(-2))
+    yield "[H,X] = X", first_mismatch(commutator(h, x), x)
+    yield "[E,Y] = X", first_mismatch(commutator(e, y), x)
+    yield "[H,Y] = -Y", first_mismatch(commutator(h, y), y.scaled(-1))
+    yield "[F,X] = Y", first_mismatch(commutator(f, x), y)
+    yield "[E,X] = 0", first_mismatch(commutator(e, x), zero_operator(basis, 3))
+    yield "[F,Y] = 0", first_mismatch(commutator(f, y), zero_operator(basis, -3))
+    casimir = (ef + fe).scaled(2) + h @ h
+    yield "Casimir diagonal", _casimir_witness(casimir, basis, run.ell)
+    w_plus = (x @ x).scaled(Fraction(1, 2))
+    w_zero = (x @ y + y @ x).scaled(Fraction(-1, 2))
+    w_minus = (y @ y).scaled(Fraction(-1, 2))
+    m = basis.params.m
+    cubic = (
+        (e @ w_minus + f @ w_plus).scaled(2)
+        + h @ w_zero
+        + identity_operator(basis, scale=m * (m - 1))
     )
+    yield "C2 = 2(E W- + F W+) + H W0 + m(m-1)", first_mismatch(casimir, cubic)
 
 
 def _casimir_witness(casimir, basis, ell):
@@ -357,12 +327,13 @@ def check_sl2_and_casimir(run):
     run.params.require_rank_two()
     run.require_degree(sl2_degree(run.params), "the rank-two relations are checked")
     checked = []
-    for name, thunk in _rank_two_relations(run):
-        witness = thunk()
+    for name, witness in _rank_two_relations(run):
         if witness:
+            # the Casimir witness already names its relation
+            witness.setdefault("relation", name)
             break
         checked.append(name)
-    return VerificationReport.of(
+    return VerificationReport(
         "rank-two commutation relations, Casimir, and cubic relation",
         run.params,
         run.max_degree,
@@ -438,7 +409,7 @@ def check_singular_vectors(run):
             if summary.per_degree.get(d, 0) != 0:
                 witness = {"degree": d, "expected_dim": 0, "actual_dim": summary.per_degree[d]}
                 break
-    return VerificationReport.of(
+    return VerificationReport(
         "joint kernel of the lowering family is spanned by the vacuum",
         run.params,
         run.max_degree,
@@ -508,7 +479,7 @@ def check_kernel_y(run):
                     "actual_dim": summary.per_degree.get(d, 0),
                 }
                 break
-    return VerificationReport.of(
+    return VerificationReport(
         "kernel of Y matches the compactified Jacobian cohomology",
         run.params,
         run.max_degree,
@@ -554,7 +525,7 @@ def check_lowest_weight_decomposition(run):
                     "coords": [str(c) for c in coords],
                 }
                 break
-    return VerificationReport.of(
+    return VerificationReport(
         "lowest-weight classes are |0, A_2> with weights A_2 + 1 - k/2",
         run.params,
         run.max_degree,
@@ -580,7 +551,7 @@ def check_closed_forms(run):
             witness["operator"] = name
             break
         compared[name] = min(generic.max_source, closed.max_source)
-    return VerificationReport.of(
+    return VerificationReport(
         "localization matrices equal the rank-two closed forms",
         run.params,
         run.max_degree,
@@ -606,7 +577,7 @@ def check_y_kernel_vectors(run):
             }
             break
         degrees.append(2 * number)
-    return VerificationReport.of(
+    return VerificationReport(
         "explicit kernel vectors of Y annihilate exactly",
         run.params,
         run.max_degree,
@@ -647,7 +618,7 @@ def verify_stabilizer(params):
     failure names the moved companion-matrix entry and its exponent.
     """
     cocharacter = stabilizer_cocharacter(params)
-    return VerificationReport.of(
+    return VerificationReport(
         "the diagonal cocharacter stabilizes the curve datum",
         params,
         None,
@@ -675,7 +646,7 @@ def check_character_identity(run):
                 "fixed_point_count": count,
             }
             break
-    return VerificationReport.of(
+    return VerificationReport(
         "fixed-point counts equal the Euler series coefficients",
         params,
         run.max_degree,
@@ -699,25 +670,13 @@ def check_appendix_b(run):
         check_lowest_weight_decomposition(run),
     ]
     failed = [r for r in reports if not r.passed]
-    return VerificationReport.of(
+    return VerificationReport(
         "rank-two closed forms, kernel vectors, and Verma decomposition",
         run.params,
         run.max_degree,
         {"subchecks": [r.to_dict() for r in reports]},
         failed[0].witness if failed else None,
     )
-
-
-def _any(run):
-    return True
-
-
-def _rank_two(run):
-    return run.params.rank_two
-
-
-def _within_oracle_budget(run):
-    return run.max_degree <= semigroup.DEFAULT_BUDGET
 
 
 def _no_degree(params):
@@ -727,13 +686,13 @@ def _no_degree(params):
 class Suite(NamedTuple):
     """One entry of ``SUITES``.
 
-    ``applies(run)`` says whether the parameters and the oracle's budget
-    allow the suite, ``least_degree(params)`` is the least ``max_degree`` at
-    which its check certifies anything (the check's own guard reads the same
-    function), and ``check(run)`` returns its report.
+    ``rank_two`` says the suite needs n = 2 and odd k, ``least_degree(params)``
+    is the least ``max_degree`` at which its check certifies anything (the
+    check's own guard reads the same function), and ``check(run)`` returns
+    its report.
     """
 
-    applies: Callable
+    rank_two: bool
     least_degree: Callable
     check: Callable
 
@@ -743,17 +702,15 @@ class Suite(NamedTuple):
 # lambdas look each check up when called, so a rebinding of a module name
 # (a tracing wrapper, a test double) takes effect.
 SUITES = {
-    "weyl": Suite(_any, weyl_degree, lambda run: check_weyl_relation(run)),
-    "sl2": Suite(_rank_two, sl2_degree, lambda run: check_sl2_and_casimir(run)),
-    "singular": Suite(_any, _no_degree, lambda run: check_singular_vectors(run)),
-    "kernel-y": Suite(_any, stabilization_degree, lambda run: check_kernel_y(run)),
-    "appendix-b": Suite(_rank_two, appendix_b_degree, lambda run: check_appendix_b(run)),
-    "stabilizer": Suite(_any, _no_degree, lambda run: verify_stabilizer(run.params)),
-    "euler": Suite(_any, _no_degree, lambda run: check_character_identity(run)),
+    "weyl": Suite(False, weyl_degree, lambda run: check_weyl_relation(run)),
+    "sl2": Suite(True, sl2_degree, lambda run: check_sl2_and_casimir(run)),
+    "singular": Suite(False, _no_degree, lambda run: check_singular_vectors(run)),
+    "kernel-y": Suite(False, stabilization_degree, lambda run: check_kernel_y(run)),
+    "appendix-b": Suite(True, appendix_b_degree, lambda run: check_appendix_b(run)),
+    "stabilizer": Suite(False, _no_degree, lambda run: verify_stabilizer(run.params)),
+    "euler": Suite(False, _no_degree, lambda run: check_character_identity(run)),
     "oracle": Suite(
-        _within_oracle_budget,
-        _no_degree,
-        lambda run: semigroup.compare_with_fixed_points(run),
+        False, _no_degree, lambda run: semigroup.compare_with_fixed_points(run)
     ),
 }
 
@@ -768,13 +725,13 @@ def run_suite(name, run):
 def applicable_suites(run):
     """Suites that ``verify --suite all`` runs on this truncation.
 
-    The rank-two suites need n = 2 and odd k; the oracle's ideal search
-    stops at colength ``semigroup.DEFAULT_BUDGET``; and a suite is left out
-    below its least degree, where its check would stop the run with an
+    The rank-two suites need n = 2 and odd k, and a suite is left out below
+    its least degree, where its check would stop the run with an
     under-truncation error.  All of this is decided before any suite runs.
     """
     return [
         name
         for name, suite in SUITES.items()
-        if suite.applies(run) and suite.least_degree(run.params) <= run.max_degree
+        if (run.params.rank_two or not suite.rank_two)
+        and suite.least_degree(run.params) <= run.max_degree
     ]

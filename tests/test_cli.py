@@ -226,21 +226,25 @@ def _verify_payload(capsys, suite, n, k, max_degree):
     return code, json.loads(out) if out else None, err
 
 
-def test_verify_all_runs_oracle_up_to_its_budget(capsys):
-    code, payload, _ = _verify_payload(capsys, "all", 2, 3, 24)
-    assert code == 0
-    assert payload["results"]["skipped_suites"] == []
-    assert payload["results"]["suites"][-1]["suite"] == "oracle"
-
-
-def test_verify_all_skips_oracle_past_its_budget(capsys):
-    code, payload, _ = _verify_payload(capsys, "all", 2, 3, 25)
-    assert code == 0
-    assert payload["results"]["skipped_suites"] == ["oracle"]
-    assert "oracle" not in [entry["suite"] for entry in payload["results"]["suites"]]
+def test_verify_all_runs_oracle_at_every_degree(capsys):
+    for max_degree in (24, 25):
+        code, payload, err = _verify_payload(capsys, "all", 2, 3, max_degree)
+        assert code == 0, err
+        assert payload["results"]["skipped_suites"] == []
+        assert payload["results"]["suites"][-1]["suite"] == "oracle"
     code, payload, err = _verify_payload(capsys, "all", 3, 4, 25)
-    assert code == 0
-    assert payload["results"]["skipped_suites"] == ["sl2", "appendix-b", "oracle"]
+    assert code == 0, err
+    assert payload["results"]["skipped_suites"] == ["sl2", "appendix-b"]
+
+
+def test_verify_all_5_7_30_runs_kernel_y_and_oracle(capsys):
+    # the stabilization degree of (5, 7) is 29, past the old D = 24 oracle cap
+    code, payload, err = _verify_payload(capsys, "all", 5, 7, 30)
+    assert code == 0, err
+    assert payload["results"]["skipped_suites"] == ["sl2", "appendix-b"]
+    suites = [entry["suite"] for entry in payload["results"]["suites"]]
+    assert "kernel-y" in suites and "oracle" in suites
+    assert payload["results"]["all_passed"] is True
 
 
 def test_verify_all_skips_suites_below_their_least_degree(capsys):
@@ -262,11 +266,13 @@ def test_verify_all_7_8_24_skips_kernel_y(capsys):
     assert payload["results"]["suites"][-1]["suite"] == "oracle"
 
 
-def test_verify_oracle_alone_past_its_budget_exits_2(capsys):
-    code, payload, err = _verify_payload(capsys, "oracle", 2, 3, 25)
-    assert code == 2
-    assert payload is None
-    assert "search budget 24" in err
+@pytest.mark.parametrize("max_degree", [25, 40])
+def test_verify_oracle_alone_past_degree_24(capsys, max_degree):
+    code, payload, err = _verify_payload(capsys, "oracle", 2, 3, max_degree)
+    assert code == 0, err
+    (report,) = payload["results"]["suites"]
+    assert report["status"] == "pass"
+    assert len(report["details"]["ideal_counts"]) == max_degree + 1
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_csv():
@@ -423,6 +429,13 @@ BAD_INPUTS = {
     ),
     "bad config value under a flag": (
         ["fixed-points", "--n", "2", "--k", "3", "--max-degree", "1"], "n = two\n",
+    ),
+    "output into a missing directory": (
+        [
+            "fixed-points", "--n", "2", "--k", "3", "--max-degree", "1",
+            "--output", os.path.join(os.path.dirname(__file__), "missing", "out.json"),
+        ],
+        None,
     ),
 }
 

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from springer_rca import (
     NumericalSemigroup,
     Params,
-    SearchBudgetError,
     Truncation,
     UnsupportedParametersError,
     compare_with_fixed_points,
     count_ideals,
+    euler_series,
 )
 from springer_rca.semigroup import enumerate_gap_sets
 
@@ -126,10 +126,33 @@ def test_one_pass_matches_per_colength_reference(case):
     assert count_ideals(n, k, m) == [len(by_colength[j]) for j in range(m + 1)]
 
 
-def test_budget_error():
-    with pytest.raises(SearchBudgetError):
-        count_ideals(2, 3, 7, budget=6)
-    assert len(count_ideals(2, 3, 6, budget=6)) == 7
+@st.composite
+def sweep_cases(draw):
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 11).filter(lambda k: gcd(n, k) == 1))
+    return n, k, draw(st.integers(25, 32))
+
+
+# every coprime n <= 7, k <= 11 agrees at D = 32, but the whole grid takes
+# seconds; a sample of it keeps the sweep short
+@settings(deadline=None, max_examples=20)
+@given(sweep_cases())
+def test_counts_agree_past_degree_24(case):
+    # fixed points, Euler-series coefficients and ideals, degree by degree;
+    # the witness is the first degree where the three differ
+    n, k, max_degree = case
+    run = Truncation(Params(n, k), max_degree)
+    series = euler_series(run.params, max_degree)
+    routes = zip(
+        [run.basis.dim(d) for d in run.basis.degrees()],
+        [series.coefficient(d) for d in range(max_degree + 1)],
+        count_ideals(n, k, max_degree),
+        strict=True,
+    )
+    witness = next(
+        (d for d, counts in enumerate(routes) if len(set(counts)) != 1), None
+    )
+    assert witness is None, (case, witness)
 
 
 def test_compare_with_fixed_points_examples():

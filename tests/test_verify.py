@@ -390,22 +390,12 @@ def test_check_guards_read_the_least_degree(n, k):
 
 def test_report_status_follows_witness():
     p = Params(2, 3)
-    passed = VerificationReport.of("x", p, 4, {"a": 1})
-    assert passed.status == "pass" and passed.witness is None
-    failed = VerificationReport.of("x", p, None, {}, {"degree": 0})
-    assert failed.status == "fail" and failed.witness == {"degree": 0}
+    passed = VerificationReport("x", p, 4, {"a": 1})
+    assert passed.status == "pass" and passed.passed and passed.witness is None
+    failed = VerificationReport("x", p, None, {}, {"degree": 0})
+    assert failed.status == "fail" and not failed.passed
+    assert failed.witness == {"degree": 0}
     assert failed.to_dict()["params"] == {"n": 2, "k": 3, "max_degree": None}
-
-
-def test_report_invariants():
-    with pytest.raises(ValueError):
-        VerificationReport(
-            claim="x", n=2, k=3, max_degree=1, status="fail", details={}
-        )
-    with pytest.raises(ValueError):
-        VerificationReport(
-            claim="x", n=2, k=3, max_degree=1, status="maybe", details={}
-        )
 
 
 def _wrong_nullspace(self):
@@ -485,6 +475,15 @@ def test_failing_relation_stops_after_its_own_products(monkeypatch):
     assert report.witness["relation"] == "[E,F] = H"
     assert report.details["relations_checked"] == []
     assert compositions == [(2, -2), (-2, 2)]
+
+
+def test_failing_casimir_keeps_its_own_relation_name(monkeypatch):
+    # every commutator holds, so the first witness is the Casimir's own
+    monkeypatch.setattr(rank_two, "casimir_eigenvalue", lambda label, ell: Fraction(7))
+    report = check_sl2_and_casimir(Truncation(Params(2, 3), 6))
+    assert report.witness["relation"] == "Casimir eigenvalue"
+    assert len(report.details["relations_checked"]) == 9
+    assert "Casimir diagonal" not in report.details["relations_checked"]
 
 
 def test_truncation_builds_f_once():
