@@ -146,8 +146,13 @@ def _require(args, *names):
             raise UsageError(f"missing required option --{name.replace('_', '-')}")
 
 
-def _params(args):
-    _require(args, "n", "k")
+def _params(args, *names):
+    """The command's ``Params``, built once ``--n``, ``--k`` and ``names`` are set.
+
+    A missing option (exit 2) is reported before a non-coprime (n, k),
+    which ``Params`` refuses (exit 3).
+    """
+    _require(args, "n", "k", *names)
     try:
         return Params(args.n, args.k)
     except ValueError as exc:
@@ -185,8 +190,7 @@ def _payload(args, command, results):
 
 
 def cmd_fixed_points(args):
-    params = _params(args)
-    _require(args, "max_degree")
+    params = _params(args, "max_degree")
     strata = Truncation(params, args.max_degree).basis.strata
     results = {
         "counts": [len(s) for s in strata],
@@ -243,10 +247,7 @@ def _build_operator(args, run):
 
 
 def cmd_operator(args):
-    params = _params(args)
-    _require(args, "max_degree", "op")
-    # a non-coprime (n, k) is reported before any check on the operator
-    params.require_coprime()
+    params = _params(args, "max_degree", "op")
     op = _build_operator(args, Truncation(params, args.max_degree))
     blocks = []
     csv_rows = [("degree", "row", "col", "value")]
@@ -270,10 +271,8 @@ def cmd_operator(args):
 
 
 def cmd_verify(args):
-    params = _params(args)
-    _require(args, "suite")
-    if args.suite != "stabilizer":
-        _require(args, "max_degree")
+    needed = ("suite",) if args.suite == "stabilizer" else ("suite", "max_degree")
+    params = _params(args, *needed)
     run = Truncation(params, args.max_degree)
     if args.suite == "all":
         names = applicable_suites(run)

@@ -60,13 +60,24 @@ class Record:
 
 
 class Params(Record):
-    """Singularity datum (n, k) with the coupling m = -k/n and hbar = 1."""
+    """Singularity datum (n, k) with the coupling m = -k/n and hbar = 1.
+
+    Only coprime (n, k) is accepted: then the germ x^n = t^k is irreducible
+    and the torus fixed points are isolated, which every computation of the
+    package needs.  Any other pair raises UnsupportedParametersError here,
+    so no later step checks coprimality again.
+    """
 
     _fields = __slots__ = ("n", "k")
 
     def __init__(self, n, k):
         if n < 1 or k < 1:
             raise ValueError(f"n and k must be positive, got ({n}, {k})")
+        if gcd(n, k) != 1:
+            raise UnsupportedParametersError(
+                f"(n, k) = ({n}, {k}) is not coprime; torus fixed "
+                "points are not isolated, so this operation is unsupported"
+            )
         self._set(n=n, k=k)
 
     @property
@@ -78,20 +89,12 @@ class Params(Record):
         return Fraction(1)
 
     @property
-    def coprime(self) -> bool:
-        return gcd(self.n, self.k) == 1
-
-    def require_coprime(self):
-        if not self.coprime:
-            raise UnsupportedParametersError(
-                f"(n, k) = ({self.n}, {self.k}) is not coprime; torus fixed "
-                "points are not isolated, so this operation is unsupported"
-            )
-
-    @property
     def rank_two(self) -> bool:
-        """Whether the rank-two closed forms and sl2 triple exist: n = 2, odd k."""
-        return self.n == 2 and self.k % 2 == 1
+        """Whether the rank-two closed forms and sl2 triple exist: n = 2.
+
+        Coprimality then makes k odd.
+        """
+        return self.n == 2
 
     def require_rank_two(self):
         if not self.rank_two:
@@ -120,7 +123,6 @@ def enumerate_fixed_points(params: Params, d: int) -> list:
     Admissibility bounds every entry by d, so the search terminates; the
     recursion below emits nondecreasing vectors in lex order directly.
     """
-    params.require_coprime()
     if d < 0:
         raise ValueError("degree must be nonnegative")
     n, k = params.n, params.k
@@ -223,7 +225,6 @@ class StabilizerCocharacter(Record):
 
 
 def stabilizer_cocharacter(params: Params) -> StabilizerCocharacter:
-    params.require_coprime()
     n, k = params.n, params.k
     return StabilizerCocharacter(
         diag_exponents=tuple(a * k for a in range(n)),

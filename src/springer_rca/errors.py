@@ -12,8 +12,9 @@ class DimensionError(SpringerRcaError, ValueError):
 class UnsupportedParametersError(SpringerRcaError, ValueError):
     """The requested computation is not defined for these parameters.
 
-    Typical causes: gcd(n, k) != 1 (fixed points are not isolated), or an
-    operator that only exists for n = 2.
+    Raised by ``Params`` for gcd(n, k) != 1 (fixed points are not
+    isolated), and by ``Params.require_rank_two`` for an operator or suite
+    that only exists for n = 2.
     """
 
 

@@ -424,7 +424,6 @@ def minuscule_monopole(basis, coweight, dress=None):
     vanishes; D and the target weights only for a term that can be stored.
     """
     params = basis.params
-    params.require_coprime()
     n, k = params.n, params.k
     if not isinstance(coweight, MinusculeCoweight):
         coweight = MinusculeCoweight.from_vector(coweight)
@@ -499,16 +498,14 @@ def minuscule_monopole(basis, coweight, dress=None):
 def operator_h(basis):
     """Cartan operator hbar - phi_1 - phi_2, diagonal; defined only for n = 2.
 
-    On |A_1, A_2> the eigenvalue is A_1 + A_2 + 1 - k/2.  Coprime n = 2
-    means odd k, so the rank-two guard is the whole precondition.
+    On |A_1, A_2> the eigenvalue is A_1 + A_2 + 1 - k/2, which depends on
+    the degree d = A_1 + A_2 alone: each block is (d + 1 - k/2) times the
+    identity.
     """
     params = basis.params
     params.require_rank_two()
-    blocks = {}
-    for d in basis.degrees():
-        ratios = {
-            (j, j): (2 * (sum(label) + 1) - params.k, 2)
-            for j, label in enumerate(basis.stratum(d))
-        }
-        blocks[d] = RatMat.from_ratios(basis.dim(d), basis.dim(d), ratios)
+    blocks = {
+        d: RatMat.identity(basis.dim(d), Fraction(2 * d + 2 - params.k, 2))
+        for d in basis.degrees()
+    }
     return GradedOperator(basis, 0, blocks)

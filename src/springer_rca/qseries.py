@@ -114,7 +114,6 @@ def euler_series(params, max_degree):
     [n-1+k choose n-1]_q / (1 - q^n); the truncation keeps powers up to
     ``max_degree``.
     """
-    params.require_coprime()
     n, k = params.n, params.k
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -129,7 +128,6 @@ def euler_series(params, max_degree):
 
 def compactified_jacobian_dim(params):
     """Total cohomology dimension of the compactified Jacobian: C(n+k-1, n-1)/n."""
-    params.require_coprime()
     n, k = params.n, params.k
     total = comb(n + k - 1, n - 1)
     if total % n:

@@ -30,8 +30,10 @@ def _from_terms(basis, shift, term_fn):
 
     ``term_fn(label)`` yields (target_label, coefficient) pairs; coefficients
     whose target is inadmissible must vanish and are checked to do so.
+    Every closed form exists only for n = 2, which is checked here.
     """
     params = basis.params
+    params.require_rank_two()
     blocks = {}
     for d in range(basis.max_degree - max(0, shift) + 1):
         source = basis.stratum(d)
@@ -55,7 +57,6 @@ def _from_terms(basis, shift, term_fn):
 
 def closed_form_x(basis):
     params = basis.params
-    params.require_rank_two()
     h = Fraction(params.k, 2)
 
     def terms(label):
@@ -69,7 +70,6 @@ def closed_form_x(basis):
 
 def closed_form_y(basis):
     params = basis.params
-    params.require_rank_two()
     h = Fraction(params.k, 2)
 
     def terms(label):
@@ -82,8 +82,6 @@ def closed_form_y(basis):
 
 
 def closed_form_e(basis):
-    basis.params.require_rank_two()
-
     def terms(label):
         a1, a2 = label
         yield (a1 + 1, a2 + 1), Fraction(1)
@@ -93,7 +91,6 @@ def closed_form_e(basis):
 
 def closed_form_f(basis):
     params = basis.params
-    params.require_rank_two()
     h = Fraction(params.k, 2)
 
     def terms(label):
@@ -105,7 +102,6 @@ def closed_form_f(basis):
 
 def closed_form_h(basis):
     params = basis.params
-    params.require_rank_two()
     h = Fraction(params.k, 2)
 
     def terms(label):

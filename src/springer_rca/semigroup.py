@@ -143,7 +143,6 @@ def compare_with_fixed_points(run):
     from .verify import VerificationReport
 
     params = run.params
-    params.require_coprime()
     counts_ideals = count_ideals(params.n, params.k, run.max_degree)
     counts_points = [run.basis.dim(d) for d in run.basis.degrees()]
     witness = None

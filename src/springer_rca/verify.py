@@ -172,7 +172,6 @@ class Truncation:
     @property
     def h(self):
         """Rank-two Cartan generator H."""
-        self.params.require_rank_two()
         if "H" not in self._operators:
             self._operators["H"] = operator_h(self.basis)
         return self._operators["H"]
@@ -222,30 +221,24 @@ def first_mismatch(actual, expected, degrees=None):
     return None
 
 
-def weyl_report(x, y, basis, max_check):
-    """Compare [X, Y] against n * identity on degrees 0..max_check."""
-    n = basis.params.n
-    comm = commutator(x, y)
-    expected = identity_operator(basis, scale=n)
-    degrees = range(min(max_check, comm.max_source) + 1)
-    return VerificationReport(
-        "commutator of X and Y is n times the identity",
-        basis.params,
-        basis.max_degree,
-        {"degrees_checked": [degrees.start, degrees.stop - 1]},
-        first_mismatch(comm, expected, degrees),
-    )
-
-
 def weyl_degree(params):
     """Least truncation of the Weyl check, which compares degrees 0..D-2."""
     return 2
 
 
 def check_weyl_relation(run):
-    run.params.require_coprime()
+    """Compare [X, Y] against n * identity on degrees 0..D-2."""
     run.require_degree(weyl_degree(run.params), "the Weyl relation is checked")
-    return weyl_report(run.x, run.y, run.basis, run.max_degree - 2)
+    comm = commutator(run.x, run.y)
+    expected = identity_operator(run.basis, scale=run.params.n)
+    degrees = range(min(run.max_degree - 2, comm.max_source) + 1)
+    return VerificationReport(
+        "commutator of X and Y is n times the identity",
+        run.params,
+        run.max_degree,
+        {"degrees_checked": [degrees.start, degrees.stop - 1]},
+        first_mismatch(comm, expected, degrees),
+    )
 
 
 def _rank_two_relations(run):
@@ -324,7 +317,6 @@ def sl2_degree(params):
 
 def check_sl2_and_casimir(run):
     """All rank-two commutators, the Casimir eigenvalues, and the cubic relation."""
-    run.params.require_rank_two()
     run.require_degree(sl2_degree(run.params), "the rank-two relations are checked")
     checked = []
     for name, witness in _rank_two_relations(run):
@@ -393,7 +385,6 @@ def _graded_kernel(run, operators, name):
 
 def singular_vectors(run):
     """Joint kernel of all lowering operators F_1[1], ..., F_n[1], by degree."""
-    run.params.require_coprime()
     lowering = [run.monopole(-1, r) for r in range(1, run.params.n + 1)]
     return _graded_kernel(run, lowering, "joint kernel of F_r[1], r = 1..n")
 
@@ -425,7 +416,6 @@ def stabilization_degree(params):
 
 def kernel_y(run):
     """Per-degree kernel of the lowering Weyl generator Y."""
-    run.params.require_coprime()
     run.require_degree(stabilization_degree(run.params), "kernel of Y stabilizes")
     return _graded_kernel(run, [run.y], "Y")
 
@@ -439,7 +429,6 @@ def finite_part_character(run):
     facts are checked here and raise InvariantError if they fail.
     """
     params, max_degree = run.params, run.max_degree
-    params.require_coprime()
     run.require_degree(stabilization_degree(params), "the finite part stabilizes")
     series = euler_series(params, max_degree)
     diff = [
@@ -562,7 +551,6 @@ def check_closed_forms(run):
 
 def check_y_kernel_vectors(run):
     """The l+1 explicit kernel vectors are annihilated by Y exactly."""
-    run.params.require_rank_two()
     vectors = rank_two.y_kernel_vectors(run.ell)
     witness = None
     degrees = []
@@ -634,7 +622,6 @@ def verify_stabilizer(params):
 def check_character_identity(run):
     """Fixed-point counts per degree against the Euler series coefficients."""
     params = run.params
-    params.require_coprime()
     series = euler_series(params, run.max_degree)
     counts = [run.basis.dim(d) for d in run.basis.degrees()]
     witness = None
@@ -662,7 +649,6 @@ def appendix_b_degree(params):
 
 def check_appendix_b(run):
     """Rank-two closed forms, explicit kernel vectors of Y, and lowest weights."""
-    run.params.require_rank_two()
     run.require_degree(appendix_b_degree(run.params), "the lowest-weight count stabilizes")
     reports = [
         check_closed_forms(run),
@@ -686,10 +672,10 @@ def _no_degree(params):
 class Suite(NamedTuple):
     """One entry of ``SUITES``.
 
-    ``rank_two`` says the suite needs n = 2 and odd k, ``least_degree(params)``
-    is the least ``max_degree`` at which its check certifies anything (the
-    check's own guard reads the same function), and ``check(run)`` returns
-    its report.
+    ``rank_two`` says the suite needs n = 2, which ``run_suite`` checks
+    before the check runs; ``least_degree(params)`` is the least
+    ``max_degree`` at which its check certifies anything (the check's own
+    guard reads the same function), and ``check(run)`` returns its report.
     """
 
     rank_two: bool
@@ -719,13 +705,16 @@ def run_suite(name, run):
     """Run one named verification suite on the shared truncation ``run``."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return SUITES[name].check(run)
+    suite = SUITES[name]
+    if suite.rank_two:
+        run.params.require_rank_two()
+    return suite.check(run)
 
 
 def applicable_suites(run):
     """Suites that ``verify --suite all`` runs on this truncation.
 
-    The rank-two suites need n = 2 and odd k, and a suite is left out below
+    The rank-two suites need n = 2, and a suite is left out below
     its least degree, where its check would stop the run with an
     under-truncation error.  All of this is decided before any suite runs.
     """

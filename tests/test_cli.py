@@ -43,12 +43,47 @@ def test_fixed_points_degree_zero(capsys):
     assert json.loads(out)["results"]["strata"][0]["labels"] == [[0, 0]]
 
 
-def test_fixed_points_non_coprime_exits_3(capsys):
-    code, _, err = run_cli(
-        capsys, "fixed-points", "--n", "2", "--k", "4", "--max-degree", "3"
-    )
+NON_COPRIME = {
+    "fixed-points": ["fixed-points", "--n", "2", "--k", "4", "--max-degree", "3"],
+    "operator X": ["operator", "--op", "X", "--n", "2", "--k", "4", "--max-degree", "3"],
+    **{
+        f"verify {suite}": [
+            "verify", "--suite", suite, "--n", "2", "--k", "4", "--max-degree", "5",
+        ]
+        for suite in (*verify.SUITES, "all")
+    },
+}
+
+
+@pytest.mark.parametrize("argv", NON_COPRIME.values(), ids=NON_COPRIME.keys())
+def test_non_coprime_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
     assert code == 3
+    assert out == ""
+    assert err.startswith("error: unsupported parameters: ")
     assert "not isolated" in err
+
+
+# each non-coprime command line with one of its required options left out;
+# verify --suite stabilizer takes no --max-degree
+MISSING_OPTION = {
+    f"{name} without {option}": (argv, option)
+    for name, argv in NON_COPRIME.items()
+    for option in ("--max-degree", "--op", "--suite")
+    if option in argv and not (option == "--max-degree" and "stabilizer" in argv)
+}
+
+
+@pytest.mark.parametrize(
+    "argv,option", MISSING_OPTION.values(), ids=MISSING_OPTION.keys()
+)
+def test_non_coprime_missing_option_exits_2(capsys, argv, option):
+    # a missing required option is reported before the non-coprime (n, k)
+    at = argv.index(option)
+    code, out, err = run_cli(capsys, *argv[:at], *argv[at + 2 :])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: missing required option {option}\n"
 
 
 def test_fixed_points_csv(capsys):
@@ -169,6 +204,16 @@ def test_verify_all_skips_rank_two_suites(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["results"]["skipped_suites"] == ["sl2", "appendix-b"]
+
+
+@pytest.mark.parametrize("suite", ["sl2", "appendix-b"])
+def test_verify_rank_two_suite_on_n_3_exits_3_before_its_degree(capsys, suite):
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", suite, "--n", "3", "--k", "4", "--max-degree", "0"
+    )
+    assert code == 3
+    assert out == ""
+    assert "requires n = 2" in err
 
 
 def test_verify_under_truncation_exits_4(capsys):

@@ -4,6 +4,7 @@ import copy
 import pickle
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -153,6 +154,18 @@ def test_params_validation():
         Params(2, 0)
     p = Params(5, 3)
     assert p.n * p.m + p.k * p.hbar == 0
+
+
+def test_params_rejects_non_coprime():
+    # fixed points are isolated only for coprime (n, k); nothing past Params
+    # checks it again
+    for n in range(1, 13):
+        for k in range(1, 13):
+            if gcd(n, k) == 1:
+                Params(n, k)
+            else:
+                with pytest.raises(UnsupportedParametersError, match="not isolated"):
+                    Params(n, k)
 
 
 def test_records_are_immutable_values():

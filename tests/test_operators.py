@@ -268,12 +268,6 @@ def test_operator_h_requires_rank_two():
         operator_h(build_graded_basis(Params(3, 4), 2))
 
 
-def test_minuscule_monopole_rejects_non_coprime():
-    p = Params(2, 4)
-    with pytest.raises(UnsupportedParametersError):
-        build_graded_basis(p, 3)
-
-
 @pytest.mark.parametrize("n,k,max_degree", [(2, 3, 7), (3, 4, 6), (2, 5, 6)])
 def test_route_equivalence(n, k, max_degree):
     """Target-evaluated coefficients equal excess(source) / tangent(target).

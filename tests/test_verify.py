@@ -52,7 +52,6 @@ from springer_rca.verify import (
     stabilization_degree,
     stabilizer_witness,
     verify_stabilizer,
-    weyl_report,
 )
 
 COPRIME_PAIRS = [(n, k) for n in range(1, 6) for k in range(1, 10) if gcd(n, k) == 1]
@@ -119,11 +118,11 @@ def test_weyl_relation_requires_degree_2(D):
 def test_weyl_relation_fault_injection():
     # corrupt one Y entry and demand a concrete witness
     run = Truncation(Params(2, 3), 6)
-    basis = run.basis
-    x, y = run.x, run.y
+    y = run.y
     block = y.block(1)
     y.blocks[1] = block + RatMat(block.nrows, block.ncols, {(0, 0): 1})
-    report = weyl_report(x, y, basis, 4)
+    report = check_weyl_relation(run)
+    assert report.details["degrees_checked"] == [0, 4]
     assert not report.passed
     assert report.witness["degree"] in (0, 1)
     assert "expected" in report.witness and "actual" in report.witness
@@ -141,6 +140,13 @@ def test_sl2_rejects_bad_params():
         check_sl2_and_casimir(Truncation(Params(3, 4), 8))
     with pytest.raises(UnsupportedParametersError):
         check_sl2_and_casimir(Truncation(Params(2, 4), 8))
+
+
+@pytest.mark.parametrize("suite", ["sl2", "appendix-b"])
+def test_rank_two_precondition_comes_before_the_degree_guard(suite):
+    # D = 0 is below both suites' least degree, yet n = 3 is refused first
+    with pytest.raises(UnsupportedParametersError):
+        run_suite(suite, Truncation(Params(3, 4), 0))
 
 
 def test_casimir_spot_values():
