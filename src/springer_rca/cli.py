@@ -161,23 +161,38 @@ def _params(args, *names):
         raise UsageError(str(exc))
 
 
-def _emit(args, payload, csv_rows):
+# encoder chunks joined per write: a report goes out in pieces of this many
+# chunks, never as one string
+JSON_BATCH = 4096
+
+
+def _write(stream, args, payload, csv_rows):
     if (args.format or "json") == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        batch = []
+        for chunk in json.JSONEncoder(indent=2).iterencode(payload):
+            batch.append(chunk)
+            if len(batch) == JSON_BATCH:
+                stream.write("".join(batch))
+                batch.clear()
+        batch.append("\n")
+        stream.write("".join(batch))
     else:
         # only a CSV report loads the csv module
         import csv
-        import io
 
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerows(csv_rows)
-        text = buffer.getvalue()
+        csv.writer(stream, lineterminator="\n").writerows(csv_rows())
+
+
+def _emit(args, payload, csv_rows):
+    """Write ``payload`` as JSON, or the rows ``csv_rows()`` yields as CSV.
+
+    The rows are made only for ``--format csv``.
+    """
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            _write(handle, args, payload, csv_rows)
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout, args, payload, csv_rows)
 
 
 def _payload(args, command, results):
@@ -199,10 +214,13 @@ def cmd_fixed_points(args):
             for d, s in enumerate(strata)
         ],
     }
-    csv_rows = [("degree", "index", "label")]
-    for d, stratum in enumerate(strata):
-        for i, label in enumerate(stratum):
-            csv_rows.append((d, i, " ".join(str(x) for x in label)))
+
+    def csv_rows():
+        yield ("degree", "index", "label")
+        for d, stratum in enumerate(strata):
+            for i, label in enumerate(stratum):
+                yield (d, i, " ".join(str(x) for x in label))
+
     _emit(args, _payload(args, "fixed-points", results), csv_rows)
     return EXIT_OK
 
@@ -246,13 +264,15 @@ def _build_operator(args, run):
     return getattr(run, name.lower())  # X, Y, E, F or H
 
 
-def cmd_operator(args):
-    params = _params(args, "max_degree", "op")
+def _operator_results(args, params):
+    """The ``operator`` report's results, each degree of the operator read once.
+
+    The operator is released when this returns, before the report is written.
+    """
     op = _build_operator(args, Truncation(params, args.max_degree))
     blocks = []
-    csv_rows = [("degree", "row", "col", "value")]
-    for d in sorted(op.blocks):
-        block = op.blocks[d]
+    for d in op.domain():
+        block = op.block(d)
         entries = [
             [i, j, str(value)] for (i, j), value in block.sorted_entries()
         ]
@@ -264,8 +284,19 @@ def cmd_operator(args):
                 "entries": entries,
             }
         )
-        csv_rows.extend((d, i, j, v) for i, j, v in entries)
-    results = {"operator": args.op, "shift": op.shift, "blocks": blocks}
+    return {"operator": args.op, "shift": op.shift, "blocks": blocks}
+
+
+def cmd_operator(args):
+    params = _params(args, "max_degree", "op")
+    results = _operator_results(args, params)
+
+    def csv_rows():
+        yield ("degree", "row", "col", "value")
+        for block in results["blocks"]:
+            d = block["degree"]
+            yield from ((d, i, j, v) for i, j, v in block["entries"])
+
     _emit(args, _payload(args, "operator", results), csv_rows)
     return EXIT_OK
 
@@ -290,8 +321,11 @@ def cmd_verify(args):
         "skipped_suites": skipped,
         "all_passed": all_passed,
     }
-    csv_rows = [("suite", "status", "claim")]
-    csv_rows.extend((name, r.status, r.claim) for name, r in zip(names, reports))
+
+    def csv_rows():
+        yield ("suite", "status", "claim")
+        yield from ((name, r.status, r.claim) for name, r in zip(names, reports))
+
     _emit(args, _payload(args, "verify", results), csv_rows)
     return EXIT_OK if all_passed else 1
 

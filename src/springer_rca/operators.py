@@ -263,19 +263,29 @@ class MinusculeCoweight(Record):
 
 
 class GradedOperator:
-    """Degree-homogeneous operator stored as one exact block per source degree.
+    """Degree-homogeneous operator with one exact block per source degree.
 
     The block at source degree d has shape dim(d + shift) x dim(d) in the
     canonical bases; strata of negative degree are zero-dimensional, so low
     blocks of lowering operators simply have no rows.
+
+    A generator (a monopole, H, an identity, a closed form) stores its
+    blocks in ``blocks``.  A composite made by ``@``, ``+``, ``-`` or
+    ``scaled`` keeps its operands instead and computes block d each time
+    ``block(d)`` is called, without storing it; its ``blocks`` is None.  So
+    a check that walks the degrees in order holds its generators plus one
+    degree's products, and a caller that needs every block of a composite
+    reads each degree once.
     """
 
-    __slots__ = ("basis", "shift", "blocks")
+    __slots__ = ("basis", "shift", "blocks", "max_source", "_block")
 
     def __init__(self, basis, shift, blocks):
         self.basis = basis
         self.shift = shift
         self.blocks = dict(blocks)
+        self.max_source = max(self.blocks, default=-1)
+        self._block = self.blocks.get
         for d, block in self.blocks.items():
             expected = (basis.dim(d + shift) if d + shift >= 0 else 0, basis.dim(d))
             if block.shape != expected:
@@ -283,20 +293,27 @@ class GradedOperator:
                     f"block at degree {d} has shape {block.shape}, expected {expected}"
                 )
 
-    @property
-    def max_source(self):
-        return max(self.blocks, default=-1)
+    @classmethod
+    def _composite(cls, basis, shift, max_source, rule):
+        """The operator whose block at d in 0..max_source is ``rule(d)``."""
+        op = cls.__new__(cls)
+        op.basis = basis
+        op.shift = shift
+        op.blocks = None
+        op.max_source = max(max_source, -1)
+        op._block = rule
+        return op
 
     def domain(self):
         return range(0, self.max_source + 1)
 
     def block(self, d):
-        try:
-            return self.blocks[d]
-        except KeyError:
+        block = self._block(d) if 0 <= d <= self.max_source else None
+        if block is None:
             raise TruncationError(
                 f"operator with shift {self.shift} has no block at source degree {d}"
             )
+        return block
 
     def _check_basis(self, other):
         if self.basis is not other.basis and self.basis != other.basis:
@@ -305,17 +322,18 @@ class GradedOperator:
     def __matmul__(self, other):
         """Composition self . other (other acts first)."""
         self._check_basis(other)
+        basis = self.basis
         shift = self.shift + other.shift
-        hi = min(other.max_source, self.max_source - other.shift)
-        blocks = {}
-        for d in range(hi + 1):
+
+        def rule(d):
             mid = d + other.shift
-            tgt_dim = self.basis.dim(d + shift) if d + shift >= 0 else 0
             if mid < 0:
-                blocks[d] = RatMat(tgt_dim, self.basis.dim(d))
-            else:
-                blocks[d] = self.block(mid) @ other.block(d)
-        return GradedOperator(self.basis, shift, blocks)
+                tgt_dim = basis.dim(d + shift) if d + shift >= 0 else 0
+                return RatMat(tgt_dim, basis.dim(d))
+            return self.block(mid) @ other.block(d)
+
+        hi = min(other.max_source, self.max_source - other.shift)
+        return GradedOperator._composite(basis, shift, hi, rule)
 
     def __add__(self, other):
         self._check_basis(other)
@@ -323,23 +341,23 @@ class GradedOperator:
             raise DimensionError(
                 f"cannot add operators of shifts {self.shift} and {other.shift}"
             )
-        hi = min(self.max_source, other.max_source)
-        return GradedOperator(
+        return GradedOperator._composite(
             self.basis,
             self.shift,
-            {d: self.block(d) + other.block(d) for d in range(hi + 1)},
+            min(self.max_source, other.max_source),
+            lambda d: self.block(d) + other.block(d),
         )
 
     def __sub__(self, other):
         return self + other.scaled(-1)
 
     def scaled(self, c):
-        return GradedOperator(
-            self.basis, self.shift, {d: b.scaled(c) for d, b in self.blocks.items()}
+        return GradedOperator._composite(
+            self.basis, self.shift, self.max_source, lambda d: self.block(d).scaled(c)
         )
 
     def is_zero(self):
-        return all(not b.entries for b in self.blocks.values())
+        return all(not self.block(d).num for d in self.domain())
 
     def apply(self, vector):
         """Apply to a graded vector given as {label: coefficient}."""
@@ -371,9 +389,10 @@ class GradedOperator:
         return out
 
     def __repr__(self):
+        nnz = sum(len(self.block(d).num) for d in self.domain())
         return (
             f"GradedOperator(shift={self.shift}, degrees<={self.max_source}, "
-            f"nnz={sum(len(b.entries) for b in self.blocks.values())})"
+            f"nnz={nnz})"
         )
 
 

@@ -17,6 +17,7 @@ from .core import Record, build_graded_basis, stabilizer_cocharacter
 from .errors import DimensionError, InvariantError, UnderTruncationError
 from .linalg import RatMat
 from .operators import (
+    GradedOperator,
     MinusculeCoweight,
     commutator,
     identity_operator,
@@ -163,10 +164,13 @@ class Truncation:
 
     @property
     def f(self):
-        """Rank-two lowering generator F = -F_2."""
+        """Rank-two lowering generator F = -F_2, stored block by block."""
         self.params.require_rank_two()
         if "F" not in self._operators:
-            self._operators["F"] = self.monopole(-1, 2).scaled(-1)
+            f2 = self.monopole(-1, 2)
+            self._operators["F"] = GradedOperator(
+                self.basis, f2.shift, {d: b.scaled(-1) for d, b in f2.blocks.items()}
+            )
         return self._operators["F"]
 
     @property
@@ -524,17 +528,22 @@ def check_lowest_weight_decomposition(run):
 
 
 def check_closed_forms(run):
-    """Generic localization matrices against the rank-two closed forms."""
+    """Generic localization matrices against the rank-two closed forms.
+
+    Each closed form is built just before it is compared, not all five
+    before the first comparison.
+    """
     basis = run.basis
     pairs = [
-        ("X", run.x, rank_two.closed_form_x(basis)),
-        ("Y", run.y, rank_two.closed_form_y(basis)),
-        ("E", run.e, rank_two.closed_form_e(basis)),
-        ("F", run.f, rank_two.closed_form_f(basis)),
-        ("H", run.h, rank_two.closed_form_h(basis)),
+        ("X", run.x, rank_two.closed_form_x),
+        ("Y", run.y, rank_two.closed_form_y),
+        ("E", run.e, rank_two.closed_form_e),
+        ("F", run.f, rank_two.closed_form_f),
+        ("H", run.h, rank_two.closed_form_h),
     ]
     compared = {}
-    for name, generic, closed in pairs:
+    for name, generic, closed_form in pairs:
+        closed = closed_form(basis)
         witness = first_mismatch(generic, closed)
         if witness:
             witness["operator"] = name

@@ -1,5 +1,6 @@
 """CLI contract: commands, exit codes, determinism, config handling."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from springer_rca import Params, verify
+from springer_rca import Params, cli, verify
 from springer_rca.cli import main
 from springer_rca.linalg import RatMat
 from springer_rca.verify import stabilization_degree
@@ -502,3 +503,94 @@ def test_bad_input_exits_2(argv, config, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_operator_commutator_reads_each_degree_once(capsys, monkeypatch):
+    products = []
+    matmul = RatMat.__matmul__
+
+    def counted(self, other):
+        products.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(RatMat, "__matmul__", counted)
+    code, out, _ = run_cli(
+        capsys, "operator", "--op", "commutator-XY", "--n", "3", "--k", "4",
+        "--max-degree", "8",
+    )
+    assert code == 0
+    # the report of the eagerly composing implementation, byte for byte
+    assert _sha256(out) == (
+        "ea2c08a789ad887bc247a621a8410707af8c4774ba3c50915904dea637a9099f"
+    )
+    # degrees 0..7, X Y and Y X once each; X Y at degree 0 composes nothing,
+    # since Y maps it to the empty stratum
+    assert len(json.loads(out)["results"]["blocks"]) == 8
+    assert len(products) == 2 * 8 - 1
+
+
+WRITER_CASES = {
+    "operator": ("operator", "--op", "X", "--n", "3", "--k", "4", "--max-degree", "12"),
+    "verify": ("verify", "--suite", "all", "--n", "2", "--k", "5", "--max-degree", "12"),
+}
+
+
+@pytest.mark.parametrize("batch", [1, 7, cli.JSON_BATCH])
+@pytest.mark.parametrize("argv", WRITER_CASES.values(), ids=WRITER_CASES.keys())
+def test_report_is_written_in_pieces_as_json_dumps_writes_it(
+    argv, batch, capsys, monkeypatch, tmp_path
+):
+    payloads = []
+    make_payload = cli._payload
+
+    def recorded(*args):
+        payloads.append(make_payload(*args))
+        return payloads[-1]
+
+    monkeypatch.setattr(cli, "_payload", recorded)
+    monkeypatch.setattr(cli, "JSON_BATCH", batch)
+    writes = []
+    stdout = sys.stdout
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+            return stdout.write(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    code = main(list(argv))
+    monkeypatch.setattr(sys, "stdout", stdout)
+    out = capsys.readouterr().out
+    assert code == 0
+    [payload] = payloads
+    assert out == json.dumps(payload, indent=2) + "\n"
+    chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload))
+    assert len(writes) == chunks // batch + 1
+    target = tmp_path / "report.json"
+    assert run_cli(capsys, *argv, "--output", str(target))[:2] == (0, "")
+    assert target.read_text(encoding="utf-8") == out
+
+
+# digests of CSV reports as the whole-string writer produced them
+CSV_DIGESTS = {
+    "operator --op Y --n 3 --k 4 --max-degree 10 --format csv":
+        "88ee5ec58ded509903d545d38394df9d801feac8950c1b0f2aa9ec88e427f73a",
+    "operator --op X --n 2 --k 3 --max-degree 4 --format csv":
+        "f235c3a255416a62d99059a270ad52fb76eb2758c931e3d6b0c3d66885e0149f",
+    "verify --suite all --n 2 --k 5 --max-degree 12 --format csv":
+        "ac723ad6c391922291315f171fd873321c3e1b83542affbde2a7736694f8d97c",
+}
+
+
+@pytest.mark.parametrize("key,digest", CSV_DIGESTS.items(), ids=CSV_DIGESTS.keys())
+def test_csv_reports_are_unchanged(key, digest, capsys, tmp_path):
+    code, out, _ = run_cli(capsys, *key.split())
+    assert code == 0
+    assert _sha256(out) == digest
+    target = tmp_path / "report.csv"
+    assert run_cli(capsys, *key.split(), "--output", str(target))[:2] == (0, "")
+    assert target.read_text(encoding="utf-8") == out

@@ -22,6 +22,7 @@ from springer_rca import (
     minuscule_monopole,
     operator_h,
 )
+from springer_rca.linalg import RatMat
 from springer_rca.operators import gap_table
 from test_core import phi_weights
 
@@ -397,6 +398,29 @@ def test_commutator_examples():
     assert commutator(x, x).is_zero()
     assert x.scaled(0).is_zero()
     assert (x - x).is_zero()
+
+
+def test_composites_compute_blocks_on_demand(monkeypatch):
+    # building [X, Y] multiplies no block; each read of a block composes its
+    # degree afresh, and nothing is stored on the composite
+    run = Truncation(Params(3, 4), 8)
+    x, y = run.x, run.y
+    products = []
+    matmul = RatMat.__matmul__
+
+    def counted(self, other):
+        products.append((self.shape, other.shape))
+        return matmul(self, other)
+
+    monkeypatch.setattr(RatMat, "__matmul__", counted)
+    comm = commutator(x, y)
+    assert products == []
+    assert comm.blocks is None
+    first = comm.block(3)
+    assert len(products) == 2
+    assert comm.block(3) == first
+    assert len(products) == 4
+    assert len(x.blocks) == x.max_source + 1
 
 
 def test_composition_domains():

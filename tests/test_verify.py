@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -32,6 +33,7 @@ from springer_rca.operators import (
     GradedOperator,
     minuscule_monopole,
     operator_h,
+    zero_operator,
 )
 from springer_rca.verify import (
     SUITES,
@@ -203,8 +205,10 @@ def test_casimir_witness_matches_dense_reference(degree, delta):
     e, f, h = run.e, run.f, run.h
     casimir = (e @ f + f @ e).scaled(2) + h @ h
     if degree is not None:
-        block = casimir.block(degree)
-        casimir.blocks[degree] = block + RatMat(block.nrows, block.ncols, delta)
+        bump = zero_operator(run.basis)
+        dim = run.basis.dim(degree)
+        bump.blocks[degree] = RatMat(dim, dim, delta)
+        casimir = casimir + bump
     got = _casimir_witness(casimir, run.basis, run.ell)
     want = reference_casimir_witness(casimir, run.basis, run.ell)
     assert json.dumps(got) == json.dumps(want)
@@ -490,6 +494,28 @@ def test_failing_casimir_keeps_its_own_relation_name(monkeypatch):
     assert report.witness["relation"] == "Casimir eigenvalue"
     assert len(report.details["relations_checked"]) == 9
     assert "Casimir diagonal" not in report.details["relations_checked"]
+
+
+def test_weyl_check_holds_one_degree_of_products():
+    # X and Y are built first; the check then holds at most one degree of
+    # X Y, Y X and their difference at a time, far below one whole product
+    run = Truncation(Params(5, 7), 30)
+    x, y = run.x, run.y
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = check_weyl_relation(run)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        before = tracemalloc.get_traced_memory()[0]
+        xy = x @ y
+        whole = GradedOperator(run.basis, xy.shift, {d: xy.block(d) for d in xy.domain()})
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert len(whole.blocks) == 31
+    assert peak < size / 2, (peak, size)
 
 
 def test_truncation_builds_f_once():
