@@ -287,11 +287,25 @@ class GradedOperator:
         self.max_source = max(self.blocks, default=-1)
         self._block = self.blocks.get
         for d, block in self.blocks.items():
-            expected = (basis.dim(d + shift) if d + shift >= 0 else 0, basis.dim(d))
+            expected = (basis.dim(d + shift), basis.dim(d))
             if block.shape != expected:
                 raise DimensionError(
                     f"block at degree {d} has shape {block.shape}, expected {expected}"
                 )
+
+    @classmethod
+    def assemble(cls, basis, shift, ratios_at):
+        """The stored operator whose block d has the entries ``ratios_at(d)``.
+
+        ``ratios_at(d)`` maps (row, col) to an integer pair (numerator,
+        positive denominator).  Block d is dim(d + shift) x dim(d), for each
+        source degree d in 0..max_degree - max(0, shift).
+        """
+        blocks = {
+            d: RatMat.from_ratios(basis.dim(d + shift), basis.dim(d), ratios_at(d))
+            for d in range(basis.max_degree - max(0, shift) + 1)
+        }
+        return cls(basis, shift, blocks)
 
     @classmethod
     def _composite(cls, basis, shift, max_source, rule):
@@ -328,8 +342,7 @@ class GradedOperator:
         def rule(d):
             mid = d + other.shift
             if mid < 0:
-                tgt_dim = basis.dim(d + shift) if d + shift >= 0 else 0
-                return RatMat(tgt_dim, basis.dim(d))
+                return RatMat(basis.dim(d + shift), basis.dim(d))
             return self.block(mid) @ other.block(d)
 
         hi = min(other.max_source, self.max_source - other.shift)
@@ -376,16 +389,15 @@ class GradedOperator:
             for label, coeff in component.items():
                 coords[self.basis.index(d, label)] = coeff
             image = self.block(d).matvec(coords)
-            if d + self.shift >= 0:
-                stratum = self.basis.stratum(d + self.shift)
-                for i, value in enumerate(image):
-                    if value != 0:
-                        label = stratum[i]
-                        total = out.get(label, Fraction(0)) + value
-                        if total == 0:
-                            out.pop(label, None)
-                        else:
-                            out[label] = total
+            stratum = self.basis.stratum(d + self.shift)
+            for i, value in enumerate(image):
+                if value != 0:
+                    label = stratum[i]
+                    total = out.get(label, Fraction(0)) + value
+                    if total == 0:
+                        out.pop(label, None)
+                    else:
+                        out[label] = total
         return out
 
     def __repr__(self):
@@ -405,15 +417,7 @@ def identity_operator(basis, scale=1):
 
 
 def zero_operator(basis, shift=0):
-    D = basis.max_degree
-    return GradedOperator(
-        basis,
-        shift,
-        {
-            d: RatMat(basis.dim(d + shift) if d + shift >= 0 else 0, basis.dim(d))
-            for d in range(D - max(0, shift) + 1)
-        },
-    )
+    return GradedOperator.assemble(basis, shift, lambda d: {})
 
 
 def commutator(a, b):
@@ -474,13 +478,11 @@ def minuscule_monopole(basis, coweight, dress=None):
             )
         )
     offsets = [a * k for a in range(n)]
-    blocks = {}
-    for d in range(basis.max_degree - max(0, shift) + 1):
-        source = basis.stratum(d)
+
+    def ratios_at(d):
         target_degree = d + shift
-        target_dim = basis.dim(target_degree) if target_degree >= 0 else 0
         ratios = {}
-        for j, label in enumerate(source):
+        for j, label in enumerate(basis.stratum(d)):
             weights = [o - n * a for o, a in zip(offsets, label)]
             gaps, factors = gap_table(weights, k)
             for lam, numerator_index, pair_index, scale, dressing in orbit:
@@ -510,8 +512,9 @@ def minuscule_monopole(basis, coweight, dress=None):
                         f"term {label} -> {target} leaves the moduli with "
                         f"nonzero numerator {numerator}"
                     )
-        blocks[d] = RatMat.from_ratios(target_dim, len(source), ratios)
-    return GradedOperator(basis, shift, blocks)
+        return ratios
+
+    return GradedOperator.assemble(basis, shift, ratios_at)
 
 
 def operator_h(basis):
@@ -521,10 +524,8 @@ def operator_h(basis):
     the degree d = A_1 + A_2 alone: each block is (d + 1 - k/2) times the
     identity.
     """
-    params = basis.params
-    params.require_rank_two()
-    blocks = {
-        d: RatMat.identity(basis.dim(d), Fraction(2 * d + 2 - params.k, 2))
-        for d in basis.degrees()
-    }
-    return GradedOperator(basis, 0, blocks)
+    basis.params.require_rank_two()
+    k = basis.params.k
+    return GradedOperator.assemble(
+        basis, 0, lambda d: {(j, j): (2 * d + 2 - k, 2) for j in range(basis.dim(d))}
+    )

@@ -21,7 +21,6 @@ from math import comb
 
 from .core import is_admissible
 from .errors import InvariantError
-from .linalg import RatMat
 from .operators import GradedOperator
 
 
@@ -34,25 +33,23 @@ def _from_terms(basis, shift, term_fn):
     """
     params = basis.params
     params.require_rank_two()
-    blocks = {}
-    for d in range(basis.max_degree - max(0, shift) + 1):
-        source = basis.stratum(d)
-        target_degree = d + shift
+
+    def ratios_at(d):
         ratios = {}
-        for j, label in enumerate(source):
+        for j, label in enumerate(basis.stratum(d)):
             for target, coeff in term_fn(label):
                 if is_admissible(target, params):
                     if coeff != 0:
-                        i = basis.index(target_degree, target)
+                        i = basis.index(d + shift, target)
                         ratios[i, j] = (coeff.numerator, coeff.denominator)
                 elif coeff != 0:
                     raise InvariantError(
                         f"closed-form term {label} -> {target} leaves the moduli "
                         f"with nonzero coefficient {coeff}"
                     )
-        target_dim = basis.dim(target_degree) if target_degree >= 0 else 0
-        blocks[d] = RatMat.from_ratios(target_dim, len(source), ratios)
-    return GradedOperator(basis, shift, blocks)
+        return ratios
+
+    return GradedOperator.assemble(basis, shift, ratios_at)
 
 
 def closed_form_x(basis):
@@ -115,6 +112,12 @@ def casimir_eigenvalue(label, ell):
     """Quadratic Casimir eigenvalue (A_2 - A_1 - k/2)^2 - 1 with k = 2l + 1."""
     a1, a2 = label
     return (a2 - a1 - Fraction(2 * ell + 1, 2)) ** 2 - 1
+
+
+def casimir_diagonal(basis):
+    """The Casimir's predicted value: ``casimir_eigenvalue`` on the diagonal."""
+    ell = (basis.params.k - 1) // 2
+    return _from_terms(basis, 0, lambda label: [(label, casimir_eigenvalue(label, ell))])
 
 
 def lowest_weight(a2, ell):

@@ -58,8 +58,8 @@ class VerificationReport(Record):
                 "n": self.params.n, "k": self.params.k, "max_degree": self.max_degree
             },
             "status": self.status,
-            "details": _json_safe(self.details),
-            "witness": _json_safe(self.witness),
+            "details": self.details,
+            "witness": self.witness,
         }
 
 
@@ -181,16 +181,6 @@ class Truncation:
         return self._operators["H"]
 
 
-def _json_safe(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {str(key): _json_safe(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(value) for value in obj]
-    return obj
-
-
 def first_mismatch(actual, expected, degrees=None):
     """First differing matrix entry of two operators, or None.
 
@@ -250,8 +240,9 @@ def _rank_two_relations(run):
 
     Each relation's two sides are built only when the generator reaches it,
     so a caller that stops at the first witness builds no later relation.
-    E F and F E serve both [E,F] and the Casimir, and the Casimir serves the
-    cubic relation; each is built once.
+    Each relation composes its own products, degree by degree.  The cubic
+    relation is compared with the stored Casimir diagonal, which the Casimir
+    has matched on the same degrees before the cubic is reached.
     """
     e, f, h = run.e, run.f, run.h
     x, y, basis = run.x, run.y, run.basis
@@ -265,8 +256,9 @@ def _rank_two_relations(run):
     yield "[F,X] = Y", first_mismatch(commutator(f, x), y)
     yield "[E,X] = 0", first_mismatch(commutator(e, x), zero_operator(basis, 3))
     yield "[F,Y] = 0", first_mismatch(commutator(f, y), zero_operator(basis, -3))
+    diagonal = rank_two.casimir_diagonal(basis)
     casimir = (ef + fe).scaled(2) + h @ h
-    yield "Casimir diagonal", _casimir_witness(casimir, basis, run.ell)
+    yield "Casimir diagonal", _casimir_witness(casimir, diagonal)
     w_plus = (x @ x).scaled(Fraction(1, 2))
     w_zero = (x @ y + y @ x).scaled(Fraction(-1, 2))
     w_minus = (y @ y).scaled(Fraction(-1, 2))
@@ -276,27 +268,18 @@ def _rank_two_relations(run):
         + h @ w_zero
         + identity_operator(basis, scale=m * (m - 1))
     )
-    yield "C2 = 2(E W- + F W+) + H W0 + m(m-1)", first_mismatch(casimir, cubic)
+    yield "C2 = 2(E W- + F W+) + H W0 + m(m-1)", first_mismatch(diagonal, cubic)
 
 
-def _casimir_witness(casimir, basis, ell):
-    """First Casimir entry off its predicted diagonal eigenvalue, or None.
+def _casimir_witness(casimir, diagonal):
+    """First Casimir entry off its predicted diagonal, or None.
 
-    Each block is compared whole against the diagonal of eigenvalues; only
-    a block that differs is searched, column by column and each column from
-    the top, over the entries stored on either side.
+    Each block is compared whole against the diagonal's; only a block that
+    differs is searched, column by column and each column from the top,
+    over the entries stored on either side.
     """
     for d in casimir.domain():
-        stratum = basis.stratum(d)
-        block = casimir.block(d)
-        expected = RatMat(
-            len(stratum),
-            len(stratum),
-            {
-                (j, j): rank_two.casimir_eigenvalue(label, ell)
-                for j, label in enumerate(stratum)
-            },
-        )
+        block, expected = casimir.block(d), diagonal.block(d)
         if block == expected:
             continue
         stored = block.entries.keys() | expected.entries.keys()
@@ -307,7 +290,7 @@ def _casimir_witness(casimir, basis, ell):
                     "degree": d,
                     "row": i,
                     "col": j,
-                    "label": list(stratum[j]),
+                    "label": list(casimir.basis.stratum(d)[j]),
                     "expected": str(expected[i, j]),
                     "actual": str(block[i, j]),
                 }
@@ -488,17 +471,24 @@ def check_kernel_y(run):
 def lowest_weight_decomposition(run):
     """Kernel of the rank-two lowering operator F with Cartan weights.
 
-    Returns (weight, degree, coords) triples; F drops degree by two, and the
-    Cartan eigenvalue on pure degree d is d + 1 - k/2.  The count is complete
-    only for max_degree >= k + 1, which ``check_appendix_b`` requires.
+    Returns (weight, degree, coords) triples; F drops degree by two, and
+    each weight is read from H as (H v)_i / v_i at the first nonzero
+    coordinate i of the kernel vector v.  The count is complete only for
+    max_degree >= k + 1, which ``check_appendix_b`` requires.
     """
     kernel = _graded_kernel(run, [run.f], "F")
-    half_k = Fraction(run.params.k, 2)
-    return [(d + 1 - half_k, d, coords) for d, coords in kernel.vectors]
+    triples = []
+    for d, coords in kernel.vectors:
+        i = next(i for i, c in enumerate(coords) if c)
+        triples.append((run.h.block(d).matvec(coords)[i] / coords[i], d, coords))
+    return triples
 
 
 def check_lowest_weight_decomposition(run):
-    """Verma decomposition data: 2l+2 lowest-weight classes |0, A_2>."""
+    """Verma decomposition data: 2l+2 lowest-weight classes |0, A_2>.
+
+    Each kernel vector v of F is checked to satisfy H v = w v, w its weight.
+    """
     triples = lowest_weight_decomposition(run)
     basis = run.basis
     expected_count = 2 * run.ell + 2
@@ -510,13 +500,17 @@ def check_lowest_weight_decomposition(run):
             want_weight = rank_two.lowest_weight(d, run.ell)
             unit = [Fraction(0)] * basis.dim(d)
             unit[basis.index(d, (0, d))] = Fraction(1)
-            if d != number or weight != want_weight or list(coords) != unit:
+            image = run.h.block(d).matvec(coords)
+            eigen = image == [weight * c for c in coords]
+            if d != number or not eigen or weight != want_weight or list(coords) != unit:
                 witness = {
                     "degree": d,
                     "expected_weight": str(want_weight),
                     "actual_weight": str(weight),
                     "coords": [str(c) for c in coords],
                 }
+                if not eigen:
+                    witness["h_image"] = [str(c) for c in image]
                 break
     return VerificationReport(
         "lowest-weight classes are |0, A_2> with weights A_2 + 1 - k/2",

@@ -594,3 +594,18 @@ def test_csv_reports_are_unchanged(key, digest, capsys, tmp_path):
     target = tmp_path / "report.csv"
     assert run_cli(capsys, *key.split(), "--output", str(target))[:2] == (0, "")
     assert target.read_text(encoding="utf-8") == out
+
+
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "golden.json"
+)
+with open(GOLDEN_PATH, encoding="utf-8") as _golden:
+    GOLDEN = json.load(_golden)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_report_matches_its_golden_digest(capsys, key):
+    # every benchmark case's report, byte for byte, as the benchmark records it
+    code, out, err = run_cli(capsys, *key.split())
+    assert code == 0, err
+    assert _sha256(out) == GOLDEN[key]

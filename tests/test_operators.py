@@ -22,8 +22,9 @@ from springer_rca import (
     minuscule_monopole,
     operator_h,
 )
+from springer_rca import rank_two
 from springer_rca.linalg import RatMat
-from springer_rca.operators import gap_table
+from springer_rca.operators import gap_table, zero_operator
 from test_core import phi_weights
 
 COPRIME_PAIRS = [(n, k) for n in range(1, 6) for k in range(1, 10) if gcd(n, k) == 1]
@@ -434,6 +435,33 @@ def test_composition_domains():
     # lowering below degree zero lands in the empty stratum
     assert (y @ y).block(0).shape == (0, 1)
     assert (y @ y).block(1).shape == (0, 1)
+
+
+RANK_TWO_BUILDERS = (
+    rank_two.closed_form_x,
+    rank_two.closed_form_y,
+    rank_two.closed_form_e,
+    rank_two.closed_form_f,
+    rank_two.closed_form_h,
+    rank_two.casimir_diagonal,
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(COPRIME_PAIRS), st.integers(0, 10))
+def test_stored_operators_have_one_domain_and_shape_rule(pair, D):
+    # a stored operator of shift s is total on 0..D - max(0, s), and its
+    # block d is dim(d + s) x dim(d), with negative strata empty
+    run = Truncation(Params(*pair), D)
+    basis = run.basis
+    ops = [run.monopole(sign, r) for sign in (1, -1) for r in range(1, pair[0] + 1)]
+    ops += [zero_operator(basis, s) for s in range(-3, 4)]
+    if pair[0] == 2:
+        ops += [build(basis) for build in RANK_TWO_BUILDERS]
+    for op in ops:
+        assert op.domain() == range(D - max(0, op.shift) + 1)
+        for d in op.domain():
+            assert op.block(d).shape == (basis.dim(d + op.shift), basis.dim(d))
 
 
 def test_apply_identity_and_truncation():

@@ -209,7 +209,7 @@ def test_casimir_witness_matches_dense_reference(degree, delta):
         dim = run.basis.dim(degree)
         bump.blocks[degree] = RatMat(dim, dim, delta)
         casimir = casimir + bump
-    got = _casimir_witness(casimir, run.basis, run.ell)
+    got = _casimir_witness(casimir, rank_two.casimir_diagonal(run.basis))
     want = reference_casimir_witness(casimir, run.basis, run.ell)
     assert json.dumps(got) == json.dumps(want)
     assert (got is None) == (degree is None)
@@ -494,6 +494,146 @@ def test_failing_casimir_keeps_its_own_relation_name(monkeypatch):
     assert report.witness["relation"] == "Casimir eigenvalue"
     assert len(report.details["relations_checked"]) == 9
     assert "Casimir diagonal" not in report.details["relations_checked"]
+
+
+def _doubled_h(monkeypatch):
+    monkeypatch.setattr(verify, "operator_h", lambda basis: operator_h(basis).scaled(2))
+
+
+def _shifted_identity(monkeypatch):
+    identity = verify.identity_operator
+    monkeypatch.setattr(
+        verify, "identity_operator", lambda basis, scale=1: identity(basis, scale + 1)
+    )
+
+
+def _count_block_products(monkeypatch):
+    products = []
+    matmul = RatMat.__matmul__
+
+    def counted(self, other):
+        products.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(RatMat, "__matmul__", counted)
+    return products
+
+
+def test_sl2_composes_the_casimir_once(monkeypatch):
+    # the cubic relation is compared with the stored Casimir diagonal, so the
+    # Casimir's products are made for its own check only
+    products = _count_block_products(monkeypatch)
+    assert check_sl2_and_casimir(Truncation(Params(2, 5), 12)).passed
+    assert len(products) == 304
+
+
+def test_failing_cubic_relation_keeps_its_witness(monkeypatch):
+    # a constant term off by one breaks only the cubic relation, the last
+    _shifted_identity(monkeypatch)
+    report = check_sl2_and_casimir(Truncation(Params(2, 5), 12))
+    assert report.witness == {
+        "actual": "21/4",
+        "col": 0,
+        "degree": 0,
+        "expected": "25/4",
+        "relation": "C2 = 2(E W- + F W+) + H W0 + m(m-1)",
+        "row": 0,
+        "source_label": [0, 0],
+        "target_label": [0, 0],
+    }
+    assert len(report.details["relations_checked"]) == 10
+
+
+def test_lowest_weights_are_read_from_h(monkeypatch):
+    # a doubled H doubles every weight the check reads off the kernel of F
+    _doubled_h(monkeypatch)
+    report = check_lowest_weight_decomposition(Truncation(Params(2, 7), 12))
+    assert report.witness == {
+        "degree": 0, "expected_weight": "-5/2", "actual_weight": "-5", "coords": ["1"],
+    }
+
+
+def _skewed_h(basis):
+    """H plus the entry |0, 2> -> |1, 1>, so |0, 2> is no eigenvector."""
+    h = operator_h(basis)
+    blocks = dict(h.blocks)
+    skew = {(basis.index(2, (1, 1)), basis.index(2, (0, 2))): 1}
+    blocks[2] = blocks[2] + RatMat(basis.dim(2), basis.dim(2), skew)
+    return GradedOperator(basis, 0, blocks)
+
+
+def test_lowest_weight_vector_must_be_an_h_eigenvector(monkeypatch):
+    monkeypatch.setattr(verify, "operator_h", _skewed_h)
+    run = Truncation(Params(2, 7), 12)
+    report = check_lowest_weight_decomposition(run)
+    # the weight at the first coordinate is the predicted one
+    assert report.witness["degree"] == 2
+    assert report.witness["actual_weight"] == report.witness["expected_weight"] == "-1/2"
+    image = [Fraction(0)] * run.basis.dim(2)
+    image[run.basis.index(2, (0, 2))] = Fraction(-1, 2)
+    image[run.basis.index(2, (1, 1))] = Fraction(1)
+    assert report.witness["h_image"] == [str(c) for c in image]
+
+
+def _plain_json(obj):
+    """Whether ``obj`` holds only str/int/bool/None, lists and str-keyed dicts."""
+    if isinstance(obj, dict):
+        return all(isinstance(key, str) and _plain_json(v) for key, v in obj.items())
+    if isinstance(obj, list):
+        return all(_plain_json(v) for v in obj)
+    return obj is None or type(obj) in (str, int, bool)
+
+
+@pytest.mark.parametrize(
+    "n,k,D", [(1, 2, 5), (2, 3, 8), (2, 5, 10), (3, 4, 9), (3, 5, 8), (4, 5, 8)]
+)
+def test_every_report_holds_only_json_values(n, k, D):
+    run = Truncation(Params(n, k), D)
+    for name in applicable_suites(run):
+        assert _plain_json(run_suite(name, run).to_dict()), name
+
+
+def _corrupt_y(run):
+    block = run.y.block(1)
+    run.y.blocks[1] = block + RatMat(block.nrows, block.ncols, {(0, 0): 1})
+
+
+# (suite, patch applied before the run, damage to the run's operators)
+FAULTS = {
+    "weyl, corrupted Y": ("weyl", None, _corrupt_y),
+    "sl2, doubled H": ("sl2", _doubled_h, None),
+    "sl2, shifted constant": ("sl2", _shifted_identity, None),
+    "sl2, wrong Casimir": (
+        "sl2",
+        lambda mp: mp.setattr(rank_two, "casimir_eigenvalue", lambda label, ell: Fraction(7)),
+        None,
+    ),
+    "appendix-b, doubled H": ("appendix-b", _doubled_h, None),
+    "appendix-b, skewed H": (
+        "appendix-b", lambda mp: mp.setattr(verify, "operator_h", _skewed_h), None
+    ),
+    "stabilizer, moved flavor": (
+        "stabilizer",
+        lambda mp: mp.setattr(
+            verify,
+            "stabilizer_cocharacter",
+            lambda params: StabilizerCocharacter((0, params.k), 1 - params.k, 2),
+        ),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("suite,patch,damage", FAULTS.values(), ids=FAULTS.keys())
+def test_failing_reports_hold_only_json_values(monkeypatch, suite, patch, damage):
+    if patch:
+        patch(monkeypatch)
+    run = Truncation(Params(2, 7), 10)
+    if damage:
+        damage(run)
+    report = run_suite(suite, run)
+    assert not report.passed
+    assert _plain_json(report.to_dict())
 
 
 def test_weyl_check_holds_one_degree_of_products():
