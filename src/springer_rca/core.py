@@ -151,22 +151,24 @@ def enumerate_fixed_points(params: Params, d: int) -> list:
 class GradedBasis(Record):
     """Canonically ordered fixed-point classes per degree, up to a truncation.
 
-    ``strata[d]`` lists the labels of degree d; the position of each label
-    follows from it and takes no part in equality.
+    ``strata[d]`` lists the labels of degree d.  One label map, read by
+    ``position``, gives each label its position in its stratum; it is the
+    package's one fixed-point test, and takes no part in equality.  A
+    vector outside it breaks an inequality or has degree above
+    ``max_degree``.
     """
 
     _fields = ("params", "max_degree", "strata")
-    __slots__ = _fields + ("_index",)
+    __slots__ = _fields + ("_positions",)
 
     def __init__(self, params, max_degree, strata):
         self._set(
             params=params,
             max_degree=max_degree,
             strata=strata,
-            _index=tuple(
-                {entries: i for i, entries in enumerate(stratum)}
-                for stratum in strata
-            ),
+            _positions={
+                entries: i for stratum in strata for i, entries in enumerate(stratum)
+            },
         )
 
     def __repr__(self):
@@ -184,15 +186,19 @@ class GradedBasis(Record):
     def dim(self, d) -> int:
         return len(self.stratum(d))
 
+    def position(self, entries):
+        """Position of ``entries`` in its stratum; None if it is no label."""
+        return self._positions.get(entries)
+
     def index(self, d, entries) -> int:
         if d < 0 or d > self.max_degree:
             raise TruncationError(
                 f"degree {d} exceeds truncation {self.max_degree}"
             )
-        try:
-            return self._index[d][entries]
-        except KeyError:
+        i = self.position(entries)
+        if i is None or sum(entries) != d:
             raise KeyError(f"{entries} is not an admissible label of degree {d}")
+        return i
 
     def degrees(self):
         return range(self.max_degree + 1)

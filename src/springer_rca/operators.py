@@ -31,9 +31,8 @@ Evaluating every factor at the *target* weights is the convention that
 reproduces the closed rank-two formulas.  The numerator above, evaluated at
 the target, equals the excess intersection factor of the source point; the
 tests keep that source-side route as a reference and compare the two.
-Whenever the target leaves the admissible region the numerator vanishes
-identically, so the operator never maps outside the moduli; this is
-checked, not assumed.
+A term whose target is not a label of the basis must vanish, so the
+operator never maps outside the moduli; this is checked, not assumed.
 
 The named operators X, Y, E, F, H and the dressed E_r[f], F_r[f] are read
 from ``verify.Truncation``, which alone applies the lowering family's hbar
@@ -47,7 +46,7 @@ from itertools import combinations
 from math import comb, lcm, prod
 from operator import add
 
-from .core import Record, is_admissible
+from .core import Record
 from .errors import DimensionError, InvariantError, TruncationError
 from .linalg import RatMat
 
@@ -446,8 +445,7 @@ def minuscule_monopole(basis, coweight, dress=None):
     table for every orbit term, to check that a term leaving the moduli
     vanishes; D and the target weights only for a term that can be stored.
     """
-    params = basis.params
-    n, k = params.n, params.k
+    n, k = basis.params.n, basis.params.k
     if not isinstance(coweight, MinusculeCoweight):
         coweight = MinusculeCoweight.from_vector(coweight)
     if coweight.n != n:
@@ -480,7 +478,6 @@ def minuscule_monopole(basis, coweight, dress=None):
     offsets = [a * k for a in range(n)]
 
     def ratios_at(d):
-        target_degree = d + shift
         ratios = {}
         for j, label in enumerate(basis.stratum(d)):
             weights = [o - n * a for o, a in zip(offsets, label)]
@@ -488,7 +485,8 @@ def minuscule_monopole(basis, coweight, dress=None):
             for lam, numerator_index, pair_index, scale, dressing in orbit:
                 numerator = prod(map(factors.__getitem__, numerator_index))
                 target = tuple(map(add, label, lam))
-                if is_admissible(target, params):
+                i = basis.position(target)
+                if i is not None:
                     # nonzero by weight separation, which needs gcd(n,k)=1
                     denominator = prod(map(gaps.__getitem__, pair_index))
                     if not denominator:
@@ -502,7 +500,6 @@ def minuscule_monopole(basis, coweight, dress=None):
                                 c *= weights[a] - n * lam[a]
                             value += c
                         if value:
-                            i = basis.index(target_degree, target)
                             if denominator < 0:
                                 numerator, denominator = -numerator, -denominator
                             ratios[i, j] = (numerator * value, denominator * scale)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .core import is_admissible
 from .errors import InvariantError
 from .operators import GradedOperator
 
@@ -27,26 +26,25 @@ from .operators import GradedOperator
 def _from_terms(basis, shift, term_fn):
     """Assemble a graded operator from label-level closed-form terms.
 
-    ``term_fn(label)`` yields (target_label, coefficient) pairs; coefficients
-    whose target is inadmissible must vanish and are checked to do so.
-    Every closed form exists only for n = 2, which is checked here.
+    ``term_fn(label)`` yields (target_label, coefficient) pairs; a
+    coefficient whose target is not a label of the basis must vanish and
+    is checked to do so.  Every closed form exists only for n = 2, which
+    is checked here.
     """
-    params = basis.params
-    params.require_rank_two()
+    basis.params.require_rank_two()
 
     def ratios_at(d):
         ratios = {}
         for j, label in enumerate(basis.stratum(d)):
             for target, coeff in term_fn(label):
-                if is_admissible(target, params):
-                    if coeff != 0:
-                        i = basis.index(d + shift, target)
-                        ratios[i, j] = (coeff.numerator, coeff.denominator)
-                elif coeff != 0:
-                    raise InvariantError(
-                        f"closed-form term {label} -> {target} leaves the moduli "
-                        f"with nonzero coefficient {coeff}"
-                    )
+                if coeff:
+                    i = basis.position(target)
+                    if i is None:
+                        raise InvariantError(
+                            f"closed-form term {label} -> {target} leaves the moduli "
+                            f"with nonzero coefficient {coeff}"
+                        )
+                    ratios[i, j] = (coeff.numerator, coeff.denominator)
         return ratios
 
     return GradedOperator.assemble(basis, shift, ratios_at)

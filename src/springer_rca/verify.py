@@ -353,9 +353,6 @@ def _graded_kernel(run, operators, name):
     per_degree = {}
     vectors = []
     for d in basis.degrees():
-        if basis.dim(d) == 0:
-            per_degree[d] = 0
-            continue
         kernel = _verified_nullspace([op.block(d) for op in operators], basis.dim(d))
         per_degree[d] = len(kernel)
         vectors.extend((d, tuple(vec)) for vec in kernel)

@@ -3,14 +3,16 @@
 import copy
 import pickle
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from springer_rca import (
     DimensionError,
     Params,
+    TruncationError,
     UnsupportedParametersError,
     build_graded_basis,
     enumerate_fixed_points,
@@ -110,6 +112,46 @@ def test_basis_index_roundtrip():
     for d in basis.degrees():
         for i, label in enumerate(basis.stratum(d)):
             assert basis.index(d, label) == i
+    with pytest.raises(KeyError):
+        basis.index(3, (0, 2, 2))  # a label of degree 4, not 3
+    with pytest.raises(KeyError):
+        basis.index(2, (0, 2, 0))
+    for d in (-1, 7):
+        with pytest.raises(TruncationError):
+            basis.index(d, (0, 0, 0))
+
+
+def minuscule_orbits(n):
+    """Every vector of every orbit +-(1^r, 0^(n-r)), r = 1..n."""
+    for r in range(1, n + 1):
+        for ones in combinations(range(n), r):
+            lam = tuple(int(a in ones) for a in range(n))
+            yield lam
+            yield tuple(-x for x in lam)
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    st.tuples(st.integers(1, 6), st.integers(1, 11)).filter(lambda nk: gcd(*nk) == 1),
+    st.integers(0, 12),
+)
+def test_position_is_the_reference_predicate(nk, max_degree):
+    # the lookup the assemblers use, against is_admissible and the enumeration,
+    # on every label and every minuscule step away from one
+    params = Params(*nk)
+    basis = build_graded_basis(params, max_degree)
+    for d in basis.degrees():
+        assert basis.dim(d) > 0
+    steps = [(0,) * params.n, *minuscule_orbits(params.n)]
+    for d in basis.degrees():
+        for label in basis.stratum(d):
+            for lam in steps:
+                v = tuple(a + b for a, b in zip(label, lam))
+                i = basis.position(v)
+                if is_admissible(v, params) and sum(v) <= max_degree:
+                    assert i == enumerate_fixed_points(params, sum(v)).index(v)
+                else:
+                    assert i is None
 
 
 def test_phi_weights_examples():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from springer_rca import (
+    InvariantError,
     Params,
     Truncation,
     UnsupportedParametersError,
@@ -32,6 +33,23 @@ def test_closed_form_y_spot_values(basis23):
     assert y.apply({(0, 0): 1}) == {}
     assert y.apply({(0, 1): 1}) == {(0, 0): -1}
     assert y.apply({(1, 1): 1}) == {(0, 1): -2}
+
+
+@pytest.mark.parametrize(
+    "shift,step,term",
+    [
+        (1, (0, 1), r"\(0, 3\) -> \(0, 4\)"),  # the gap 4 exceeds k = 3
+        (-2, (-1, -1), r"\(0, 0\) -> \(-1, -1\)"),  # a target of degree -2
+    ],
+)
+def test_closed_form_term_leaving_the_moduli_raises(shift, step, term):
+    basis = build_graded_basis(Params(2, 3), 4)
+
+    def terms(label):
+        yield tuple(a + b for a, b in zip(label, step)), Fraction(1)
+
+    with pytest.raises(InvariantError, match=term + " leaves the moduli"):
+        rank_two._from_terms(basis, shift, terms)
 
 
 def test_closed_form_e_f_h(basis23):
