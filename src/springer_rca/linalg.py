@@ -83,11 +83,6 @@ class RatMat:
         self.den = den
         return self
 
-    @classmethod
-    def identity(cls, n, scale=1):
-        pair = (scale.numerator, scale.denominator)
-        return cls.from_ratios(n, n, {(i, i): pair for i in range(n)})
-
     def __getitem__(self, key):
         value = self.num.get(key)
         return ZERO if value is None else Fraction(value, self.den)

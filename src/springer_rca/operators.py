@@ -143,30 +143,6 @@ class DressPolynomial:
     def is_invariant(self, perms):
         return all(self.permuted(p) == self for p in perms)
 
-    def __add__(self, other):
-        if self.nvars != other.nvars:
-            raise DimensionError("polynomials over different variable counts")
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            out[expo] = out.get(expo, Fraction(0)) + coeff
-        return DressPolynomial(self.nvars, out)
-
-    def __mul__(self, other):
-        if isinstance(other, DressPolynomial):
-            if self.nvars != other.nvars:
-                raise DimensionError("polynomials over different variable counts")
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-            return DressPolynomial(self.nvars, out)
-        return DressPolynomial(
-            self.nvars, {e: c * other for e, c in self.terms.items()}
-        )
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, DressPolynomial):
             return NotImplemented
@@ -368,9 +344,6 @@ class GradedOperator:
             self.basis, self.shift, self.max_source, lambda d: self.block(d).scaled(c)
         )
 
-    def is_zero(self):
-        return all(not self.block(d).num for d in self.domain())
-
     def apply(self, vector):
         """Apply to a graded vector given as {label: coefficient}."""
         by_degree = {}
@@ -408,10 +381,10 @@ class GradedOperator:
 
 
 def identity_operator(basis, scale=1):
-    return GradedOperator(
-        basis,
-        0,
-        {d: RatMat.identity(basis.dim(d), scale) for d in basis.degrees()},
+    """``scale`` (an integer or a Fraction) times the identity on every degree."""
+    pair = (scale.numerator, scale.denominator)
+    return GradedOperator.assemble(
+        basis, 0, lambda d: {(j, j): pair for j in range(basis.dim(d))}
     )
 
 

@@ -10,6 +10,12 @@ formula in the fixed-point basis; writing s = A_2 - A_1 and h = k/2:
     F |A_1, A_2> = A_1 (h - A_2) |A_1-1, A_2-1>
     H |A_1, A_2> = (A_1 + A_2 + 1 - h) |A_1, A_2>
 
+and the quadratic Casimir acts on |A_1, A_2> by (s - h)^2 - 1.  Every
+coefficient is a ratio of integers: doubling numerator and denominator
+puts X and Y over 2s - k, which is odd since k is, hence nonzero; F and H
+are over 2 and the Casimir over 4.  The builders yield these integer
+ratios, so no Fraction is made.
+
 These are an independent route to the same matrices the localization sum
 produces, and the verification suites compare them entry by entry.
 """
@@ -26,52 +32,50 @@ from .operators import GradedOperator
 def _from_terms(basis, shift, term_fn):
     """Assemble a graded operator from label-level closed-form terms.
 
-    ``term_fn(label)`` yields (target_label, coefficient) pairs; a
-    coefficient whose target is not a label of the basis must vanish and
-    is checked to do so.  Every closed form exists only for n = 2, which
-    is checked here.
+    ``term_fn(label)`` yields (target_label, p, q) triples, the coefficient
+    p / q with p and q integers and q nonzero; a coefficient whose target is
+    not a label of the basis must vanish and is checked to do so.  Every
+    closed form exists only for n = 2, which is checked here.
     """
     basis.params.require_rank_two()
 
     def ratios_at(d):
         ratios = {}
         for j, label in enumerate(basis.stratum(d)):
-            for target, coeff in term_fn(label):
-                if coeff:
+            for target, p, q in term_fn(label):
+                if p:
                     i = basis.position(target)
                     if i is None:
                         raise InvariantError(
                             f"closed-form term {label} -> {target} leaves the moduli "
-                            f"with nonzero coefficient {coeff}"
+                            f"with nonzero coefficient {Fraction(p, q)}"
                         )
-                    ratios[i, j] = (coeff.numerator, coeff.denominator)
+                    ratios[i, j] = (-p, -q) if q < 0 else (p, q)
         return ratios
 
     return GradedOperator.assemble(basis, shift, ratios_at)
 
 
 def closed_form_x(basis):
-    params = basis.params
-    h = Fraction(params.k, 2)
+    k = basis.params.k
 
     def terms(label):
         a1, a2 = label
         s = a2 - a1
-        yield (a1, a2 + 1), Fraction(s - params.k) / (s - h)
-        yield (a1 + 1, a2), Fraction(s) / (s - h)
+        yield (a1, a2 + 1), 2 * (s - k), 2 * s - k
+        yield (a1 + 1, a2), 2 * s, 2 * s - k
 
     return _from_terms(basis, 1, terms)
 
 
 def closed_form_y(basis):
-    params = basis.params
-    h = Fraction(params.k, 2)
+    k = basis.params.k
 
     def terms(label):
         a1, a2 = label
         s = a2 - a1
-        yield (a1, a2 - 1), s * (h - a2) / (s - h)
-        yield (a1 - 1, a2), a1 * Fraction(params.k - s) / (s - h)
+        yield (a1, a2 - 1), s * (k - 2 * a2), 2 * s - k
+        yield (a1 - 1, a2), 2 * a1 * (k - s), 2 * s - k
 
     return _from_terms(basis, -1, terms)
 
@@ -79,43 +83,40 @@ def closed_form_y(basis):
 def closed_form_e(basis):
     def terms(label):
         a1, a2 = label
-        yield (a1 + 1, a2 + 1), Fraction(1)
+        yield (a1 + 1, a2 + 1), 1, 1
 
     return _from_terms(basis, 2, terms)
 
 
 def closed_form_f(basis):
-    params = basis.params
-    h = Fraction(params.k, 2)
+    k = basis.params.k
 
     def terms(label):
         a1, a2 = label
-        yield (a1 - 1, a2 - 1), a1 * (h - a2)
+        yield (a1 - 1, a2 - 1), a1 * (k - 2 * a2), 2
 
     return _from_terms(basis, -2, terms)
 
 
 def closed_form_h(basis):
-    params = basis.params
-    h = Fraction(params.k, 2)
+    k = basis.params.k
 
     def terms(label):
         a1, a2 = label
-        yield (a1, a2), a1 + a2 + 1 - h
+        yield (a1, a2), 2 * (a1 + a2 + 1) - k, 2
 
     return _from_terms(basis, 0, terms)
 
 
-def casimir_eigenvalue(label, ell):
-    """Quadratic Casimir eigenvalue (A_2 - A_1 - k/2)^2 - 1 with k = 2l + 1."""
-    a1, a2 = label
-    return (a2 - a1 - Fraction(2 * ell + 1, 2)) ** 2 - 1
-
-
 def casimir_diagonal(basis):
-    """The Casimir's predicted value: ``casimir_eigenvalue`` on the diagonal."""
-    ell = (basis.params.k - 1) // 2
-    return _from_terms(basis, 0, lambda label: [(label, casimir_eigenvalue(label, ell))])
+    """The Casimir's predicted value (s - k/2)^2 - 1 on the diagonal."""
+    k = basis.params.k
+
+    def terms(label):
+        a1, a2 = label
+        yield label, (2 * (a2 - a1) - k) ** 2 - 4, 4
+
+    return _from_terms(basis, 0, terms)
 
 
 def lowest_weight(a2, ell):

@@ -143,6 +143,10 @@ def mat(rows):
     return RatMat(len(rows), len(rows[0]) if rows else 0, entries)
 
 
+def eye(n):
+    return mat([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def test_basic_arithmetic():
     a = mat([[1, 2], [0, 1]])
     b = mat([[0, 1], [1, 0]])
@@ -151,7 +155,7 @@ def test_basic_arithmetic():
     assert dense(a @ b) == dense(mat([[2, 1], [1, 0]]))
     assert a.scaled(Fraction(1, 2))[0, 1] == 1
     assert a.matvec([1, 1]) == [3, 1]
-    assert RatMat.identity(3).rank() == 3
+    assert eye(3).rank() == 3
 
 
 def test_shape_checks():
@@ -341,13 +345,13 @@ def test_arithmetic_matches_fraction_reference(case):
 
 def test_equal_matrices_built_two_ways():
     direct = RatMat(2, 2, {(0, 0): Fraction(1, 2)})
-    half = RatMat.identity(2).scaled(Fraction(1, 2))
+    half = eye(2).scaled(Fraction(1, 2))
     cleared = half - RatMat(2, 2, {(1, 1): Fraction(1, 2)})
     assert cleared == direct
     assert (cleared.num, cleared.den) == (direct.num, direct.den) == ({(0, 0): 1}, 2)
     ratios = RatMat.from_ratios(2, 2, {(0, 0): (3, 6), (1, 1): (0, 5)})
     assert ratios == direct
-    assert RatMat(3, 3).den == (RatMat.identity(3) - RatMat.identity(3)).den == 1
+    assert RatMat(3, 3).den == (eye(3) - eye(3)).den == 1
 
 
 def test_nonpositive_denominator_raises():

@@ -319,12 +319,12 @@ def test_boundary_vanishing(n, k, max_degree):
 
 def _dressings(n, r):
     """Stabilizer-invariant dressings: 1, e1, e2 and a slot-reading rational one."""
+    shifted = DressPolynomial.elementary(n, 1, range(r)).shift_all(Fraction(1, 2))
     return [
         None,
         DressPolynomial.elementary(n, 1),
         DressPolynomial.elementary(n, 2),
-        DressPolynomial.elementary(n, 1, range(r)).shift_all(Fraction(1, 2))
-        * Fraction(2, 3),
+        DressPolynomial(n, {e: c * Fraction(2, 3) for e, c in shifted.terms.items()}),
     ]
 
 
@@ -396,9 +396,8 @@ def test_commutator_examples():
     comm = commutator(x, y)
     block0 = comm.block(0)
     assert block0[0, 0] == 2
-    assert commutator(x, x).is_zero()
-    assert x.scaled(0).is_zero()
-    assert (x - x).is_zero()
+    for zero in (commutator(x, x), x.scaled(0), x - x):
+        assert all(not zero.block(d).num for d in zero.domain())
 
 
 def test_composites_compute_blocks_on_demand(monkeypatch):
@@ -456,6 +455,7 @@ def test_stored_operators_have_one_domain_and_shape_rule(pair, D):
     basis = run.basis
     ops = [run.monopole(sign, r) for sign in (1, -1) for r in range(1, pair[0] + 1)]
     ops += [zero_operator(basis, s) for s in range(-3, 4)]
+    ops.append(identity_operator(basis, Fraction(-3, 2)))
     if pair[0] == 2:
         ops += [build(basis) for build in RANK_TWO_BUILDERS]
     for op in ops:
@@ -494,9 +494,6 @@ def test_dress_polynomial_basics():
     assert e2.permuted(swap) == e2
     phi2 = variable(3, 1)
     assert phi2.permuted((0, 2, 1)) == variable(3, 2)
-    prod = e1 * phi2
-    assert evaluate(prod, (1, 2, 3)) == 12
-    assert (e1 + e1) == 2 * e1
 
 
 def test_dressing_invariance_enforced():

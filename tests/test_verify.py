@@ -55,6 +55,7 @@ from springer_rca.verify import (
     stabilizer_witness,
     verify_stabilizer,
 )
+from test_rank_two import casimir_eigenvalue
 
 COPRIME_PAIRS = [(n, k) for n in range(1, 6) for k in range(1, 10) if gcd(n, k) == 1]
 
@@ -166,7 +167,7 @@ def reference_casimir_witness(casimir, basis, ell):
         block = casimir.block(d)
         stratum = basis.stratum(d)
         for j, label in enumerate(stratum):
-            expected = rank_two.casimir_eigenvalue(label, ell)
+            expected = casimir_eigenvalue(label, ell)
             for i in range(len(stratum)):
                 got = block[i, j]
                 want = expected if i == j else Fraction(0)
@@ -487,9 +488,18 @@ def test_failing_relation_stops_after_its_own_products(monkeypatch):
     assert compositions == [(2, -2), (-2, 2)]
 
 
+def _constant_casimir(monkeypatch):
+    """Predict 7 for the Casimir on every label."""
+    monkeypatch.setattr(
+        rank_two,
+        "casimir_diagonal",
+        lambda basis: rank_two._from_terms(basis, 0, lambda label: [(label, 7, 1)]),
+    )
+
+
 def test_failing_casimir_keeps_its_own_relation_name(monkeypatch):
     # every commutator holds, so the first witness is the Casimir's own
-    monkeypatch.setattr(rank_two, "casimir_eigenvalue", lambda label, ell: Fraction(7))
+    _constant_casimir(monkeypatch)
     report = check_sl2_and_casimir(Truncation(Params(2, 3), 6))
     assert report.witness["relation"] == "Casimir eigenvalue"
     assert len(report.details["relations_checked"]) == 9
@@ -605,7 +615,7 @@ FAULTS = {
     "sl2, shifted constant": ("sl2", _shifted_identity, None),
     "sl2, wrong Casimir": (
         "sl2",
-        lambda mp: mp.setattr(rank_two, "casimir_eigenvalue", lambda label, ell: Fraction(7)),
+        _constant_casimir,
         None,
     ),
     "appendix-b, doubled H": ("appendix-b", _doubled_h, None),
