@@ -152,9 +152,9 @@ class GradedBasis(Record):
     """Canonically ordered fixed-point classes per degree, up to a truncation.
 
     ``strata[d]`` lists the labels of degree d.  One label map, read by
-    ``position``, gives each label its position in its stratum; it is the
-    package's one fixed-point test, and takes no part in equality.  A
-    vector outside it breaks an inequality or has degree above
+    ``position`` and ``index``, gives each label its position in its
+    stratum; it is the package's one fixed-point test, and takes no part in
+    equality.  A vector outside it breaks an inequality or has degree above
     ``max_degree``.
     """
 
@@ -195,7 +195,7 @@ class GradedBasis(Record):
             raise TruncationError(
                 f"degree {d} exceeds truncation {self.max_degree}"
             )
-        i = self.position(entries)
+        i = self._positions.get(entries)
         if i is None or sum(entries) != d:
             raise KeyError(f"{entries} is not an admissible label of degree {d}")
         return i

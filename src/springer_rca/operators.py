@@ -23,8 +23,9 @@ source gap plus n, so with P the *source* weights of A these are
     prod_{lam_a > lam_b} (P_b - P_a),
 
 read from one table of source gaps per fixed point (``gap_table``) for the
-whole orbit.  Each entry goes to its block as an integer pair (numerator,
-positive denominator), and the block puts them over one denominator, so
+whole orbit.  A term goes on only if its N is nonzero, and only then are
+its target, D and dressing formed; it reaches ``GradedOperator.assemble``
+as an integer pair, and the block puts the pairs over one denominator, so
 assembly makes no Fraction.
 
 Evaluating every factor at the *target* weights is the convention that
@@ -32,7 +33,9 @@ reproduces the closed rank-two formulas.  The numerator above, evaluated at
 the target, equals the excess intersection factor of the source point; the
 tests keep that source-side route as a reference and compare the two.
 A term whose target is not a label of the basis must vanish, so the
-operator never maps outside the moduli; this is checked, not assumed.
+operator never maps outside the moduli.  This is checked, not assumed:
+``GradedOperator.assemble`` refuses every term with a nonzero N whose target
+is not a label.
 
 The named operators X, Y, E, F, H and the dressed E_r[f], F_r[f] are read
 from ``verify.Truncation``, which alone applies the lowering family's hbar
@@ -269,17 +272,31 @@ class GradedOperator:
                 )
 
     @classmethod
-    def assemble(cls, basis, shift, ratios_at):
-        """The stored operator whose block d has the entries ``ratios_at(d)``.
+    def assemble(cls, basis, shift, terms):
+        """The stored operator that sends each label A to its ``terms(A)``.
 
-        ``ratios_at(d)`` maps (row, col) to an integer pair (numerator,
-        positive denominator).  Block d is dim(d + shift) x dim(d), for each
-        source degree d in 0..max_degree - max(0, shift).
+        ``terms(label)`` yields (target, p, q) for each term of the source
+        label that does not vanish identically: the entry p / q, p and q
+        integers with q nonzero, in the target's row.  Such a term must land
+        on a label, so a target outside the moduli raises InvariantError;
+        a term with p = 0 stores nothing.  Block d is dim(d + shift) x dim(d),
+        for each source degree d in 0..max_degree - max(0, shift).
         """
-        blocks = {
-            d: RatMat.from_ratios(basis.dim(d + shift), basis.dim(d), ratios_at(d))
-            for d in range(basis.max_degree - max(0, shift) + 1)
-        }
+        position = basis.position
+        blocks = {}
+        for d in range(basis.max_degree - max(0, shift) + 1):
+            ratios = {}
+            for j, label in enumerate(basis.stratum(d)):
+                for target, p, q in terms(label):
+                    i = position(target)
+                    if i is None:
+                        raise InvariantError(
+                            f"term {label} -> {target} leaves the moduli "
+                            f"but does not vanish identically"
+                        )
+                    if p:
+                        ratios[i, j] = (-p, -q) if q < 0 else (p, q)
+            blocks[d] = RatMat.from_ratios(basis.dim(d + shift), basis.dim(d), ratios)
         return cls(basis, shift, blocks)
 
     @classmethod
@@ -382,14 +399,12 @@ class GradedOperator:
 
 def identity_operator(basis, scale=1):
     """``scale`` (an integer or a Fraction) times the identity on every degree."""
-    pair = (scale.numerator, scale.denominator)
-    return GradedOperator.assemble(
-        basis, 0, lambda d: {(j, j): pair for j in range(basis.dim(d))}
-    )
+    p, q = scale.numerator, scale.denominator
+    return GradedOperator.assemble(basis, 0, lambda label: ((label, p, q),))
 
 
 def zero_operator(basis, shift=0):
-    return GradedOperator.assemble(basis, shift, lambda d: {})
+    return GradedOperator.assemble(basis, shift, lambda label: ())
 
 
 def commutator(a, b):
@@ -414,9 +429,11 @@ def minuscule_monopole(basis, coweight, dress=None):
 
     The dressing must be invariant under the stabilizer of the coweight in
     the symmetric group; each orbit term evaluates it at the target weights
-    through the orbit representative.  N is taken from the source's gap
-    table for every orbit term, to check that a term leaving the moduli
-    vanishes; D and the target weights only for a term that can be stored.
+    through the orbit representative.  Each orbit term's N is read from
+    the source's gap table; a term with N = 0 vanishes identically and is
+    dropped, and every other term goes to ``GradedOperator.assemble``, which
+    refuses it if its target leaves the moduli, even where the dressing
+    vanishes.  Weight separation is checked once per source label.
     """
     n, k = basis.params.n, basis.params.k
     if not isinstance(coweight, MinusculeCoweight):
@@ -449,42 +466,29 @@ def minuscule_monopole(basis, coweight, dress=None):
             )
         )
     offsets = [a * k for a in range(n)]
+    off_diagonal = [a * n + b for a in range(n) for b in range(n) if a != b]
 
-    def ratios_at(d):
-        ratios = {}
-        for j, label in enumerate(basis.stratum(d)):
-            weights = [o - n * a for o, a in zip(offsets, label)]
-            gaps, factors = gap_table(weights, k)
-            for lam, numerator_index, pair_index, scale, dressing in orbit:
-                numerator = prod(map(factors.__getitem__, numerator_index))
-                target = tuple(map(add, label, lam))
-                i = basis.position(target)
-                if i is not None:
-                    # nonzero by weight separation, which needs gcd(n,k)=1
-                    denominator = prod(map(gaps.__getitem__, pair_index))
-                    if not denominator:
-                        raise InvariantError(
-                            f"zero denominator for {label} -> {target}"
-                        )
-                    if numerator:
-                        value = 0
-                        for c, dslots in dressing:
-                            for a in dslots:
-                                c *= weights[a] - n * lam[a]
-                            value += c
-                        if value:
-                            if denominator < 0:
-                                numerator, denominator = -numerator, -denominator
-                            ratios[i, j] = (numerator * value, denominator * scale)
-                elif numerator:
-                    # boundary vanishing: leaving the moduli kills the term
-                    raise InvariantError(
-                        f"term {label} -> {target} leaves the moduli with "
-                        f"nonzero numerator {numerator}"
-                    )
-        return ratios
+    def terms(label):
+        weights = [o - n * a for o, a in zip(offsets, label)]
+        gaps, factors = gap_table(weights, k)
+        # weight separation, which needs gcd(n, k) = 1, makes every D nonzero
+        if not all(map(gaps.__getitem__, off_diagonal)):
+            raise InvariantError(f"zero denominator for {label}")
+        for lam, numerator_index, pair_index, scale, dressing in orbit:
+            numerator = prod(map(factors.__getitem__, numerator_index))
+            if numerator:
+                value = 0
+                for c, dslots in dressing:
+                    for a in dslots:
+                        c *= weights[a] - n * lam[a]
+                    value += c
+                yield (
+                    tuple(map(add, label, lam)),
+                    numerator * value,
+                    prod(map(gaps.__getitem__, pair_index)) * scale,
+                )
 
-    return GradedOperator.assemble(basis, shift, ratios_at)
+    return GradedOperator.assemble(basis, shift, terms)
 
 
 def operator_h(basis):
@@ -497,5 +501,5 @@ def operator_h(basis):
     basis.params.require_rank_two()
     k = basis.params.k
     return GradedOperator.assemble(
-        basis, 0, lambda d: {(j, j): (2 * d + 2 - k, 2) for j in range(basis.dim(d))}
+        basis, 0, lambda label: ((label, 2 * sum(label) + 2 - k, 2),)
     )

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import itemgetter
 
-from .errors import InvariantError
 from .operators import GradedOperator
 
 
@@ -33,27 +33,17 @@ def _from_terms(basis, shift, term_fn):
     """Assemble a graded operator from label-level closed-form terms.
 
     ``term_fn(label)`` yields (target_label, p, q) triples, the coefficient
-    p / q with p and q integers and q nonzero; a coefficient whose target is
-    not a label of the basis must vanish and is checked to do so.  Every
-    closed form exists only for n = 2, which is checked here.
+    p / q with p and q integers and q nonzero.  A closed form may name a
+    target outside the moduli where its coefficient is zero, so the terms
+    with p = 0 are dropped here; ``GradedOperator.assemble`` refuses every
+    other term whose target is not a label.  Every closed form exists only
+    for n = 2, which is checked here.
     """
     basis.params.require_rank_two()
-
-    def ratios_at(d):
-        ratios = {}
-        for j, label in enumerate(basis.stratum(d)):
-            for target, p, q in term_fn(label):
-                if p:
-                    i = basis.position(target)
-                    if i is None:
-                        raise InvariantError(
-                            f"closed-form term {label} -> {target} leaves the moduli "
-                            f"with nonzero coefficient {Fraction(p, q)}"
-                        )
-                    ratios[i, j] = (-p, -q) if q < 0 else (p, q)
-        return ratios
-
-    return GradedOperator.assemble(basis, shift, ratios_at)
+    nonzero = itemgetter(1)
+    return GradedOperator.assemble(
+        basis, shift, lambda label: filter(nonzero, term_fn(label))
+    )
 
 
 def closed_form_x(basis):

@@ -380,7 +380,7 @@ def check_singular_vectors(run):
     if summary.per_degree.get(0) != 1:
         witness = {"degree": 0, "expected_dim": 1, "actual_dim": summary.per_degree.get(0)}
     else:
-        for d in range(1, run.max_degree - run.params.n + 1):
+        for d in range(1, run.max_degree + 1):
             if summary.per_degree.get(d, 0) != 0:
                 witness = {"degree": d, "expected_dim": 0, "actual_dim": summary.per_degree[d]}
                 break

@@ -226,6 +226,37 @@ def test_singular_vectors(n, k, D):
     assert check_singular_vectors(Truncation(Params(n, k), D)).passed
 
 
+def test_singular_witness_names_a_kernel_at_the_top_degree():
+    # a lowering block at degree D needs no higher degree, so D is checked
+    run = Truncation(Params(3, 4), 12)
+    top = run.max_degree
+    for r in (1, 2, 3):
+        blocks = run.monopole(-1, r).blocks
+        blocks[top] = RatMat(*blocks[top].shape)
+    report = check_singular_vectors(run)
+    assert report.witness == {
+        "degree": top, "expected_dim": 0, "actual_dim": run.basis.dim(top)
+    }
+
+
+# every coprime pair 2 <= n <= 7, 1 <= k <= 11 whose stabilization degree
+# (n - 1)(k - 1) + n is at most 30
+GRID = [
+    (n, k)
+    for n in range(2, 8)
+    for k in range(1, 12)
+    if gcd(n, k) == 1 and (n - 1) * (k - 1) + n <= 30
+]
+
+
+@pytest.mark.parametrize("n,k", GRID)
+def test_every_applicable_suite_passes_at_the_stabilization_degree(n, k):
+    params = Params(n, k)
+    run = Truncation(params, stabilization_degree(params))
+    for name in applicable_suites(run):
+        assert run_suite(name, run).passed, name
+
+
 def test_singular_vector_survives_dressing():
     # the joint kernel at degree zero also dies under dressed lowering ops
     run = Truncation(Params(3, 4), 6)
@@ -713,6 +744,15 @@ def test_boundary_vanishing_violation_raises(monkeypatch):
     basis = build_graded_basis(Params(2, 3), 4)
     with pytest.raises(InvariantError, match="leaves the moduli"):
         minuscule_monopole(basis, (1, 0))
+
+
+def test_boundary_vanishing_violation_raises_under_a_zero_dressing(monkeypatch):
+    # a term with a nonzero N is refused off the moduli even where the
+    # dressing vanishes and so its value is 0
+    monkeypatch.setattr(operators, "gap_table", _nonvanishing_factors)
+    basis = build_graded_basis(Params(2, 3), 4)
+    with pytest.raises(InvariantError, match=r"\(0, 0\) -> \(1, 0\) leaves the moduli"):
+        minuscule_monopole(basis, (1, 0), DressPolynomial(2))
 
 
 def test_boundary_vanishing_violation_exits_5(monkeypatch, capsys):
