@@ -151,11 +151,11 @@ def enumerate_fixed_points(params: Params, d: int) -> list:
 class GradedBasis(Record):
     """Canonically ordered fixed-point classes per degree, up to a truncation.
 
-    ``strata[d]`` lists the labels of degree d.  One label map, read by
-    ``position`` and ``index``, gives each label its position in its
-    stratum; it is the package's one fixed-point test, and takes no part in
-    equality.  A vector outside it breaks an inequality or has degree above
-    ``max_degree``.
+    ``strata[d]`` lists the labels of degree d, and ``positions(d)`` maps
+    each of them to its position in the stratum.  These per-stratum label
+    maps are the package's one fixed-point test, and take no part in
+    equality: a vector missing from ``positions(d)`` breaks an inequality
+    or does not have degree d.
     """
 
     _fields = ("params", "max_degree", "strata")
@@ -166,37 +166,39 @@ class GradedBasis(Record):
             params=params,
             max_degree=max_degree,
             strata=strata,
-            _positions={
-                entries: i for stratum in strata for i, entries in enumerate(stratum)
-            },
+            _positions=tuple(
+                {entries: i for i, entries in enumerate(stratum)} for stratum in strata
+            ),
         )
 
     def __repr__(self):
         return f"GradedBasis(params={self.params!r}, max_degree={self.max_degree})"
 
-    def stratum(self, d) -> tuple:
-        if d < 0:
-            return ()
+    def _stored(self, d):
+        """Whether degree d has a stored stratum; TruncationError above max_degree."""
         if d > self.max_degree:
             raise TruncationError(
                 f"degree {d} exceeds truncation {self.max_degree}"
             )
-        return self.strata[d]
+        return d >= 0
+
+    def stratum(self, d) -> tuple:
+        return self.strata[d] if self._stored(d) else ()
+
+    def positions(self, d) -> dict:
+        """``{label: position in its stratum}`` for degree d; empty for d < 0."""
+        return self._positions[d] if self._stored(d) else {}
 
     def dim(self, d) -> int:
         return len(self.stratum(d))
 
-    def position(self, entries):
-        """Position of ``entries`` in its stratum; None if it is no label."""
-        return self._positions.get(entries)
-
     def index(self, d, entries) -> int:
-        if d < 0 or d > self.max_degree:
+        if d < 0:
             raise TruncationError(
                 f"degree {d} exceeds truncation {self.max_degree}"
             )
-        i = self._positions.get(entries)
-        if i is None or sum(entries) != d:
+        i = self.positions(d).get(entries)
+        if i is None:
             raise KeyError(f"{entries} is not an admissible label of degree {d}")
         return i
 

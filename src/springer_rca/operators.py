@@ -278,17 +278,19 @@ class GradedOperator:
         ``terms(label)`` yields (target, p, q) for each term of the source
         label that does not vanish identically: the entry p / q, p and q
         integers with q nonzero, in the target's row.  Such a term must land
-        on a label, so a target outside the moduli raises InvariantError;
-        a term with p = 0 stores nothing.  Block d is dim(d + shift) x dim(d),
-        for each source degree d in 0..max_degree - max(0, shift).
+        on a label of degree d + shift, and only that stratum's label map is
+        read, so a target outside the moduli or of another degree raises
+        InvariantError; a term with p = 0 stores nothing.  Block d is
+        dim(d + shift) x dim(d), for each source degree d in
+        0..max_degree - max(0, shift).
         """
-        position = basis.position
         blocks = {}
         for d in range(basis.max_degree - max(0, shift) + 1):
+            lookup = basis.positions(d + shift).get
             ratios = {}
             for j, label in enumerate(basis.stratum(d)):
                 for target, p, q in terms(label):
-                    i = position(target)
+                    i = lookup(target)
                     if i is None:
                         raise InvariantError(
                             f"term {label} -> {target} leaves the moduli "
@@ -390,11 +392,7 @@ class GradedOperator:
         return out
 
     def __repr__(self):
-        nnz = sum(len(self.block(d).num) for d in self.domain())
-        return (
-            f"GradedOperator(shift={self.shift}, degrees<={self.max_source}, "
-            f"nnz={nnz})"
-        )
+        return f"GradedOperator(shift={self.shift}, degrees<={self.max_source})"
 
 
 def identity_operator(basis, scale=1):

@@ -49,8 +49,6 @@ class QPolynomial:
         )
 
     def __mul__(self, other):
-        if not isinstance(other, QPolynomial):
-            return QPolynomial([c * other for c in self.coeffs])
         if not self.coeffs or not other.coeffs:
             return QPolynomial()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -60,8 +58,6 @@ class QPolynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return QPolynomial(out)
-
-    __rmul__ = __mul__
 
     def __call__(self, x):
         value = 0
@@ -73,21 +69,6 @@ class QPolynomial:
         if isinstance(other, QPolynomial):
             return self.coeffs == other.coeffs
         return NotImplemented
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "QPolynomial([0])"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*q" if c != 1 else "q")
-            else:
-                terms.append(f"{c}*q^{i}" if c != 1 else f"q^{i}")
-        return " + ".join(terms)
 
 
 def qbinomial(a, b):

@@ -140,20 +140,17 @@ def compare_with_fixed_points(run):
     Returns a VerificationReport that passes iff the two enumeration routes
     agree for every degree up to the truncation.
     """
-    from .verify import VerificationReport
+    from .verify import VerificationReport, first_difference
 
     params = run.params
     counts_ideals = count_ideals(params.n, params.k, run.max_degree)
     counts_points = [run.basis.dim(d) for d in run.basis.degrees()]
-    witness = None
-    for d, (a, b) in enumerate(zip(counts_ideals, counts_points)):
-        if a != b:
-            witness = {"degree": d, "ideal_count": a, "fixed_point_count": b}
-            break
     return VerificationReport(
         "semigroup ideal counts match fixed-point counts",
         params,
         run.max_degree,
         {"ideal_counts": counts_ideals, "fixed_point_counts": counts_points},
-        witness,
+        first_difference(
+            counts_ideals, counts_points, "ideal_count", "fixed_point_count"
+        ),
     )

@@ -215,6 +215,18 @@ def first_mismatch(actual, expected, degrees=None):
     return None
 
 
+def first_difference(expected, actual, expected_key, actual_key):
+    """First degree at which two per-degree counts differ, as a witness, or None.
+
+    ``expected`` and ``actual`` list the counts of degrees 0, 1, ...; the
+    witness is ``{"degree": d, expected_key: expected[d], actual_key: actual[d]}``.
+    """
+    for d, (want, got) in enumerate(zip(expected, actual)):
+        if want != got:
+            return {"degree": d, expected_key: want, actual_key: got}
+    return None
+
+
 def weyl_degree(params):
     """Least truncation of the Weyl check, which compares degrees 0..D-2."""
     return 2
@@ -240,9 +252,11 @@ def _rank_two_relations(run):
 
     Each relation's two sides are built only when the generator reaches it,
     so a caller that stops at the first witness builds no later relation.
-    Each relation composes its own products, degree by degree.  The cubic
-    relation is compared with the stored Casimir diagonal, which the Casimir
-    has matched on the same degrees before the cubic is reached.
+    Each relation composes its own products, degree by degree, and every
+    one, the Casimir included, is compared by ``first_mismatch``, so each
+    witness has the same keys.  The cubic relation is compared with the
+    stored Casimir diagonal, which the Casimir has matched on the same
+    degrees before the cubic is reached.
     """
     e, f, h = run.e, run.f, run.h
     x, y, basis = run.x, run.y, run.basis
@@ -258,7 +272,7 @@ def _rank_two_relations(run):
     yield "[F,Y] = 0", first_mismatch(commutator(f, y), zero_operator(basis, -3))
     diagonal = rank_two.casimir_diagonal(basis)
     casimir = (ef + fe).scaled(2) + h @ h
-    yield "Casimir diagonal", _casimir_witness(casimir, diagonal)
+    yield "Casimir diagonal", first_mismatch(casimir, diagonal)
     w_plus = (x @ x).scaled(Fraction(1, 2))
     w_zero = (x @ y + y @ x).scaled(Fraction(-1, 2))
     w_minus = (y @ y).scaled(Fraction(-1, 2))
@@ -269,32 +283,6 @@ def _rank_two_relations(run):
         + identity_operator(basis, scale=m * (m - 1))
     )
     yield "C2 = 2(E W- + F W+) + H W0 + m(m-1)", first_mismatch(diagonal, cubic)
-
-
-def _casimir_witness(casimir, diagonal):
-    """First Casimir entry off its predicted diagonal, or None.
-
-    Each block is compared whole against the diagonal's; only a block that
-    differs is searched, column by column and each column from the top,
-    over the entries stored on either side.
-    """
-    for d in casimir.domain():
-        block, expected = casimir.block(d), diagonal.block(d)
-        if block == expected:
-            continue
-        stored = block.entries.keys() | expected.entries.keys()
-        for i, j in sorted(stored, key=lambda key: (key[1], key[0])):
-            if block[i, j] != expected[i, j]:
-                return {
-                    "relation": "Casimir eigenvalue",
-                    "degree": d,
-                    "row": i,
-                    "col": j,
-                    "label": list(casimir.basis.stratum(d)[j]),
-                    "expected": str(expected[i, j]),
-                    "actual": str(block[i, j]),
-                }
-    return None
 
 
 def sl2_degree(params):
@@ -308,8 +296,7 @@ def check_sl2_and_casimir(run):
     checked = []
     for name, witness in _rank_two_relations(run):
         if witness:
-            # the Casimir witness already names its relation
-            witness.setdefault("relation", name)
+            witness["relation"] = name
             break
         checked.append(name)
     return VerificationReport(
@@ -376,14 +363,12 @@ def singular_vectors(run):
 def check_singular_vectors(run):
     """The vacuum class is the unique singular vector up to the truncation."""
     summary = singular_vectors(run)
-    witness = None
-    if summary.per_degree.get(0) != 1:
-        witness = {"degree": 0, "expected_dim": 1, "actual_dim": summary.per_degree.get(0)}
-    else:
-        for d in range(1, run.max_degree + 1):
-            if summary.per_degree.get(d, 0) != 0:
-                witness = {"degree": d, "expected_dim": 0, "actual_dim": summary.per_degree[d]}
-                break
+    witness = first_difference(
+        [1] + [0] * run.max_degree,
+        [summary.per_degree[d] for d in run.basis.degrees()],
+        "expected_dim",
+        "actual_dim",
+    )
     return VerificationReport(
         "joint kernel of the lowering family is spanned by the vacuum",
         run.params,
@@ -440,18 +425,15 @@ def check_kernel_y(run):
     summary = kernel_y(run)
     expected_total = compactified_jacobian_dim(run.params)
     character = finite_part_character(run)
-    witness = None
     if summary.total != expected_total:
         witness = {"expected_total": expected_total, "actual_total": summary.total}
     else:
-        for d in range(run.max_degree + 1):
-            if summary.per_degree.get(d, 0) != character.coefficient(d):
-                witness = {
-                    "degree": d,
-                    "expected_dim": character.coefficient(d),
-                    "actual_dim": summary.per_degree.get(d, 0),
-                }
-                break
+        witness = first_difference(
+            [character.coefficient(d) for d in run.basis.degrees()],
+            [summary.per_degree[d] for d in run.basis.degrees()],
+            "expected_dim",
+            "actual_dim",
+        )
     return VerificationReport(
         "kernel of Y matches the compactified Jacobian cohomology",
         run.params,
@@ -624,21 +606,17 @@ def check_character_identity(run):
     params = run.params
     series = euler_series(params, run.max_degree)
     counts = [run.basis.dim(d) for d in run.basis.degrees()]
-    witness = None
-    for d, count in enumerate(counts):
-        if count != series.coefficient(d):
-            witness = {
-                "degree": d,
-                "series_coefficient": series.coefficient(d),
-                "fixed_point_count": count,
-            }
-            break
     return VerificationReport(
         "fixed-point counts equal the Euler series coefficients",
         params,
         run.max_degree,
         {"counts": counts},
-        witness,
+        first_difference(
+            [series.coefficient(d) for d in run.basis.degrees()],
+            counts,
+            "series_coefficient",
+            "fixed_point_count",
+        ),
     )
 
 

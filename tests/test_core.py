@@ -147,8 +147,12 @@ def test_position_is_the_reference_predicate(nk, max_degree):
         for label in basis.stratum(d):
             for lam in steps:
                 v = tuple(a + b for a, b in zip(label, lam))
-                i = basis.position(v)
-                if is_admissible(v, params) and sum(v) <= max_degree:
+                if sum(v) > max_degree:
+                    with pytest.raises(TruncationError):
+                        basis.positions(sum(v))
+                    continue
+                i = basis.positions(sum(v)).get(v)
+                if is_admissible(v, params):
                     assert i == enumerate_fixed_points(params, sum(v)).index(v)
                 else:
                     assert i is None

@@ -107,6 +107,14 @@ def test_closed_form_term_leaving_the_moduli_raises(shift, step, term):
         rank_two._from_terms(basis, shift, terms)
 
 
+def test_term_of_another_degree_raises():
+    # a shift-1 operator whose terms stay in their source's stratum: each
+    # target is a label, but not of the degree the block's rows index
+    basis = build_graded_basis(Params(2, 3), 6)
+    with pytest.raises(InvariantError, match=r"\(0, 0\) -> \(0, 0\) leaves the moduli"):
+        rank_two._from_terms(basis, 1, lambda label: [(label, 1, 1)])
+
+
 def test_closed_form_e_f_h(basis23):
     e = rank_two.closed_form_e(basis23)
     f = rank_two.closed_form_f(basis23)

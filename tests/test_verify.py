@@ -38,7 +38,6 @@ from springer_rca.operators import (
 from springer_rca.verify import (
     SUITES,
     Truncation,
-    _casimir_witness,
     _verified_nullspace,
     applicable_suites,
     check_appendix_b,
@@ -49,6 +48,7 @@ from springer_rca.verify import (
     check_sl2_and_casimir,
     check_weyl_relation,
     check_y_kernel_vectors,
+    first_mismatch,
     VerificationReport,
     run_suite,
     stabilization_degree,
@@ -162,22 +162,21 @@ def test_casimir_spot_values():
 
 
 def reference_casimir_witness(casimir, basis, ell):
-    """Dense scan of every Casimir entry, column by column: the reference."""
+    """Dense scan of every Casimir entry, row by row: the reference."""
     for d in casimir.domain():
         block = casimir.block(d)
         stratum = basis.stratum(d)
-        for j, label in enumerate(stratum):
-            expected = casimir_eigenvalue(label, ell)
-            for i in range(len(stratum)):
+        for i, target in enumerate(stratum):
+            for j, label in enumerate(stratum):
                 got = block[i, j]
-                want = expected if i == j else Fraction(0)
+                want = casimir_eigenvalue(label, ell) if i == j else Fraction(0)
                 if got != want:
                     return {
-                        "relation": "Casimir eigenvalue",
                         "degree": d,
                         "row": i,
                         "col": j,
-                        "label": list(label),
+                        "source_label": list(label),
+                        "target_label": list(target),
                         "expected": str(want),
                         "actual": str(got),
                     }
@@ -210,7 +209,7 @@ def test_casimir_witness_matches_dense_reference(degree, delta):
         dim = run.basis.dim(degree)
         bump.blocks[degree] = RatMat(dim, dim, delta)
         casimir = casimir + bump
-    got = _casimir_witness(casimir, rank_two.casimir_diagonal(run.basis))
+    got = first_mismatch(casimir, rank_two.casimir_diagonal(run.basis))
     want = reference_casimir_witness(casimir, run.basis, run.ell)
     assert json.dumps(got) == json.dumps(want)
     assert (got is None) == (degree is None)
@@ -532,7 +531,11 @@ def test_failing_casimir_keeps_its_own_relation_name(monkeypatch):
     # every commutator holds, so the first witness is the Casimir's own
     _constant_casimir(monkeypatch)
     report = check_sl2_and_casimir(Truncation(Params(2, 3), 6))
-    assert report.witness["relation"] == "Casimir eigenvalue"
+    assert report.witness["relation"] == "Casimir diagonal"
+    assert list(report.witness) == [
+        "degree", "row", "col", "source_label", "target_label",
+        "expected", "actual", "relation",
+    ]
     assert len(report.details["relations_checked"]) == 9
     assert "Casimir diagonal" not in report.details["relations_checked"]
 
@@ -675,6 +678,83 @@ def test_failing_reports_hold_only_json_values(monkeypatch, suite, patch, damage
     report = run_suite(suite, run)
     assert not report.passed
     assert _plain_json(report.to_dict())
+
+
+GENERATORS = {
+    "X": lambda run: run.x,
+    "Y": lambda run: run.y,
+    "E_2": lambda run: run.monopole(1, 2),
+    "E_3": lambda run: run.monopole(1, 3),
+    "F_2": lambda run: run.monopole(-1, 2),
+    "F_3": lambda run: run.monopole(-1, 3),
+    "H": lambda run: run.h,
+    "F": lambda run: run.f,
+}
+
+# (n, k, D) -> generator -> {failing applicable suite: its witness degree}
+# once 1 is added to entry (0, 0) of the generator's block at degree 4.  X
+# and Y are E_1 and F_1.  At n = 3 no suite reads an entry of E_r or F_r
+# for r >= 2: ``singular`` certifies only kernel dimensions.
+FAULT_MATRIX = {
+    (2, 5, 12): {
+        "X": {"weyl": 4, "sl2": 4, "appendix-b": 4},
+        "Y": {"weyl": 3, "sl2": 4, "appendix-b": 4},
+        "E_2": {"sl2": 4, "appendix-b": 4},
+        "F_2": {"sl2": 4, "appendix-b": 4},
+        "H": {"sl2": 4, "appendix-b": 4},
+        "F": {"sl2": 4, "appendix-b": 4},
+    },
+    (3, 4, 13): {
+        "X": {"weyl": 4},
+        "Y": {"weyl": 3},
+        "E_2": {},
+        "E_3": {},
+        "F_2": {},
+        "F_3": {},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "nkd,generator,failing",
+    [
+        (nkd, generator, failing)
+        for nkd, row in FAULT_MATRIX.items()
+        for generator, failing in row.items()
+    ],
+)
+def test_fault_matrix(nkd, generator, failing):
+    n, k, D = nkd
+    run = Truncation(Params(n, k), D)
+    op = GENERATORS[generator](run)
+    block = op.blocks[4]
+    op.blocks[4] = block + RatMat(block.nrows, block.ncols, {(0, 0): 1})
+    reports = {name: run_suite(name, run) for name in applicable_suites(run)}
+    assert {
+        name: report.witness["degree"]
+        for name, report in reports.items()
+        if not report.passed
+    } == failing
+
+
+def test_perturbed_closed_form_exits_1(monkeypatch, capsys):
+    closed_form_x = rank_two.closed_form_x
+
+    def perturbed(basis):
+        x = closed_form_x(basis)
+        block = x.blocks[4]
+        x.blocks[4] = block + RatMat(block.nrows, block.ncols, {(0, 0): 1})
+        return x
+
+    monkeypatch.setattr(rank_two, "closed_form_x", perturbed)
+    code = main(["verify", "--suite", "all", "--n", "2", "--k", "5", "--max-degree", "12"])
+    suites = json.loads(capsys.readouterr().out)["results"]["suites"]
+    assert code == 1
+    assert [
+        (report["suite"], report["witness"]["operator"], report["witness"]["degree"])
+        for report in suites
+        if report["status"] == "fail"
+    ] == [("appendix-b", "X", 4)]
 
 
 def test_weyl_check_holds_one_degree_of_products():
