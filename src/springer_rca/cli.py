@@ -273,9 +273,9 @@ def _operator_results(args, params):
     blocks = []
     for d in op.domain():
         block = op.block(d)
-        entries = [
-            [i, j, str(value)] for (i, j), value in block.sorted_entries()
-        ]
+        # tuples, not lists: the JSON and CSV bytes are the same, the
+        # report held in memory is smaller
+        entries = [(i, j, str(value)) for (i, j), value in block.sorted_entries()]
         blocks.append(
             {
                 "degree": d,

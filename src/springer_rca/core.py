@@ -194,9 +194,7 @@ class GradedBasis(Record):
 
     def index(self, d, entries) -> int:
         if d < 0:
-            raise TruncationError(
-                f"degree {d} exceeds truncation {self.max_degree}"
-            )
+            raise TruncationError(f"degree {d} is negative: no label has it")
         i = self.positions(d).get(entries)
         if i is None:
             raise KeyError(f"{entries} is not an admissible label of degree {d}")

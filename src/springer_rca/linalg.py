@@ -2,8 +2,11 @@
 
 A matrix stores its nonzero entries as integer numerators over one positive
 block denominator, kept in lowest terms, so equal matrices have equal
-fields.  Products, sums and scalings are integer arithmetic followed by one
-gcd reduction; a ``fractions.Fraction`` is made only where an entry is read.
+fields.  Each numerator is keyed by its flat row-major position
+``i * ncols + j``, a plain int, so a stored nonzero costs no ``(i, j)``
+tuple; the ``(i, j)`` API is decoded from it here and nowhere else.
+Products, sums and scalings are integer arithmetic followed by one gcd
+reduction; a ``fractions.Fraction`` is made only where an entry is read.
 The blocks in this problem are very sparse (a few nonzeros per row), so
 elimination keeps every row as a sparse dict and touches only the rows that
 hold the current pivot column.  All results are exact: kernels found here
@@ -29,10 +32,12 @@ PRIME = 2**61 - 1
 class RatMat:
     """Sparse matrix with exact rational entries and a fixed shape.
 
-    Entry (i, j) is ``num[i, j] / den``: ``num`` maps the positions of the
-    nonzero entries to nonzero integers and ``den`` is a positive integer
-    with ``gcd(den, *num.values()) == 1``.  A matrix is not changed once
-    built; every operation returns a new one.
+    Entry (i, j) is ``num[i * ncols + j] / den``: ``num`` maps the flat
+    row-major positions of the nonzero entries to nonzero integers and
+    ``den`` is a positive integer with ``gcd(den, *num.values()) == 1``.
+    A flat int key costs no ``(i, j)`` tuple per nonzero, and below 257 it
+    is one of the interpreter's cached small ints.  A matrix is not changed
+    once built; every operation returns a new one.
     """
 
     __slots__ = ("nrows", "ncols", "num", "den")
@@ -60,6 +65,7 @@ class RatMat:
         return cls(nrows, ncols)._take_ratios(ratios)
 
     def _take_ratios(self, ratios):
+        """Store the {(i, j): (p, q)} ``ratios`` over their lcm and return self."""
         for i, j in ratios:
             if not (0 <= i < self.nrows and 0 <= j < self.ncols):
                 raise IndexError(f"entry {(i, j)} outside shape {self.shape}")
@@ -69,8 +75,10 @@ class RatMat:
                 f"an entry has the nonpositive denominator {min(dens)}"
             )
         den = lcm(*dens)
+        ncols = self.ncols
         return self._take(
-            {key: p * (den // q) for key, (p, q) in ratios.items() if p}, den
+            {i * ncols + j: p * (den // q) for (i, j), (p, q) in ratios.items() if p},
+            den,
         )
 
     def _take(self, num, den):
@@ -84,8 +92,18 @@ class RatMat:
         return self
 
     def __getitem__(self, key):
-        value = self.num.get(key)
+        value = self.num.get(self._flat(key))
         return ZERO if value is None else Fraction(value, self.den)
+
+    def _flat(self, key):
+        """The flat position of entry ``key`` = (i, j), or None outside the shape.
+
+        The range check keeps (0, ncols) from reading entry (1, 0).
+        """
+        i, j = key
+        if 0 <= i < self.nrows and 0 <= j < self.ncols:
+            return i * self.ncols + j
+        return None
 
     @property
     def entries(self):
@@ -93,8 +111,11 @@ class RatMat:
         return _Entries(self)
 
     def sorted_entries(self):
-        den = self.den
-        return [(key, Fraction(v, den)) for key, v in sorted(self.num.items())]
+        """The nonzero entries as ((i, j), Fraction) pairs in row-major order."""
+        den, ncols = self.den, self.ncols
+        return [
+            (divmod(key, ncols), Fraction(v, den)) for key, v in sorted(self.num.items())
+        ]
 
     @property
     def shape(self):
@@ -139,12 +160,16 @@ class RatMat:
             raise DimensionError(
                 f"cannot multiply shapes {self.shape} and {other.shape}"
             )
-        # group both factors by row to keep the product sparse
+        # group both factors by row to keep the product sparse; each operand
+        # is decoded with its own width, the product keyed with other's
+        width = other.ncols
         right = {}
-        for (l, j), b in other.num.items():
+        for key, b in other.num.items():
+            l, j = divmod(key, width)
             right.setdefault(l, []).append((j, b))
         left = {}
-        for (i, l), a in self.num.items():
+        for key, a in self.num.items():
+            i, l = divmod(key, self.ncols)
             left.setdefault(i, []).append((l, a))
         num = {}
         for i, terms in left.items():
@@ -152,9 +177,10 @@ class RatMat:
             for l, a in terms:
                 for j, b in right.get(l, ()):
                     row[j] = row.get(j, 0) + a * b
+            base = i * width
             for j, value in row.items():
                 if value:
-                    num[i, j] = value
+                    num[base + j] = value
         return RatMat(self.nrows, other.ncols)._take(num, self.den * other.den)
 
     def matvec(self, vec):
@@ -170,7 +196,9 @@ class RatMat:
         scale = lcm(*(v.denominator for v in vec))
         coords = [v.numerator * (scale // v.denominator) for v in vec]
         out = [0] * self.nrows
-        for (i, j), a in self.num.items():
+        ncols = self.ncols
+        for key, a in self.num.items():
+            i, j = divmod(key, ncols)
             out[i] += a * coords[j]
         den = self.den * scale
         return [Fraction(s, den) if s else ZERO for s in out]
@@ -201,8 +229,9 @@ class RatMat:
         offset = 0
         for m in mats:
             factor = den // m.den
-            for (i, j), value in m.num.items():
-                num[offset + i, j] = factor * value
+            shift = offset * ncols
+            for key, value in m.num.items():
+                num[shift + key] = factor * value
             offset += m.nrows
         return cls(offset, ncols)._take(num, den)
 
@@ -216,9 +245,10 @@ class RatMat:
         entries above each pivot.  The reduced form over Q is unique, so the
         result does not depend on which rows were picked as pivots.
         """
-        den = self.den
+        den, ncols = self.den, self.ncols
         reduced, pivots = _eliminate(
-            ((key, Fraction(value, den)) for key, value in self.num.items())
+            (divmod(key, ncols), Fraction(value, den))
+            for key, value in self.num.items()
         )
         # back-substitution: no reduced row holds another pivot column, so
         # each pivot entry above the diagonal is cleared independently
@@ -248,7 +278,9 @@ class RatMat:
         the matrix times the positive scalar ``den``.  So
         ``rank_mod(p) == ncols`` proves a zero kernel.
         """
-        return len(_eliminate(((key, v % p) for key, v in self.num.items()), p)[1])
+        ncols = self.ncols
+        cells = ((divmod(key, ncols), v % p) for key, v in self.num.items())
+        return len(_eliminate(cells, p)[1])
 
     def nullspace(self):
         """Canonical kernel basis: one vector per free column, unit there.
@@ -336,10 +368,15 @@ class _Entries(Mapping):
         self._mat = mat
 
     def __getitem__(self, key):
-        return Fraction(self._mat.num[key], self._mat.den)
+        mat = self._mat
+        value = mat.num.get(mat._flat(key))
+        if value is None:
+            raise KeyError(key)
+        return Fraction(value, mat.den)
 
     def __iter__(self):
-        return iter(self._mat.num)
+        ncols = self._mat.ncols
+        return (divmod(key, ncols) for key in self._mat.num)
 
     def __len__(self):
         return len(self._mat.num)

@@ -116,9 +116,10 @@ def test_basis_index_roundtrip():
         basis.index(3, (0, 2, 2))  # a label of degree 4, not 3
     with pytest.raises(KeyError):
         basis.index(2, (0, 2, 0))
-    for d in (-1, 7):
-        with pytest.raises(TruncationError):
-            basis.index(d, (0, 0, 0))
+    with pytest.raises(TruncationError, match="degree -1 is negative"):
+        basis.index(-1, (0, 0, 0))
+    with pytest.raises(TruncationError, match="degree 7 exceeds truncation 6"):
+        basis.index(7, (0, 0, 0))
 
 
 def minuscule_orbits(n):

@@ -1,8 +1,10 @@
 """Exact matrix arithmetic and nullspace extraction."""
 
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -175,6 +177,16 @@ def test_zero_entries_dropped():
     assert RatMat(1, 1, {(0, 0): 0}).entries == {}
 
 
+def test_out_of_shape_reads_alias_no_other_cell():
+    # (0, 5) is past the end of row 0 of a 3 x 5 matrix, not entry (1, 0)
+    m = RatMat(3, 5, {(1, 0): Fraction(7, 2)})
+    assert m[1, 0] == Fraction(7, 2)
+    assert m[0, 5] == 0 and m[-1, 0] == 0 and m[3, 0] == 0
+    assert (1, 0) in m.entries and (0, 5) not in m.entries
+    with pytest.raises(KeyError):
+        m.entries[0, 5]
+
+
 def test_nullspace_known_kernel():
     # rank-1 matrix with an obvious kernel line
     a = mat([[1, 2], [2, 4]])
@@ -289,7 +301,7 @@ def assert_canonical(m):
     assert isinstance(m.den, int) and m.den > 0
     assert all(isinstance(v, int) and v != 0 for v in m.num.values())
     assert gcd(m.den, *m.num.values()) == 1
-    assert all(0 <= i < m.nrows and 0 <= j < m.ncols for i, j in m.num)
+    assert all(0 <= key < m.nrows * m.ncols for key in m.num)
 
 
 def assert_matches(m, ref):
@@ -348,7 +360,7 @@ def test_equal_matrices_built_two_ways():
     half = eye(2).scaled(Fraction(1, 2))
     cleared = half - RatMat(2, 2, {(1, 1): Fraction(1, 2)})
     assert cleared == direct
-    assert (cleared.num, cleared.den) == (direct.num, direct.den) == ({(0, 0): 1}, 2)
+    assert (cleared.num, cleared.den) == (direct.num, direct.den) == ({0: 1}, 2)
     ratios = RatMat.from_ratios(2, 2, {(0, 0): (3, 6), (1, 1): (0, 5)})
     assert ratios == direct
     assert RatMat(3, 3).den == (eye(3) - eye(3)).den == 1
@@ -402,6 +414,28 @@ def test_block_arithmetic_builds_no_fraction_per_entry(size, monkeypatch):
     ra, rb = FractionMat.of(a), FractionMat.of(b)
     assert_matches(results[0], ra @ rb)
     assert_matches(results[3], ra.scaled(c))
+
+
+@pytest.mark.parametrize(
+    "n,k,D,names",
+    [(5, 7, 30, ["x", "y"]), (2, 23, 120, ["x", "y", "e", "f", "h"])],
+)
+def test_stored_nonzero_memory(n, k, D, names):
+    # traced bytes, not RSS: the bound must not depend on the host.  An
+    # (i, j) tuple key per nonzero read 133 and 151 bytes here.
+    run = Truncation(Params(n, k), D)
+    run.basis
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ops = [getattr(run, name) for name in names]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    nnz = sum(len(block.entries) for op in ops for block in op.blocks.values())
+    assert retained / nnz <= 115
 
 
 def _reference_kernels(blocks_at, basis):
