@@ -275,7 +275,9 @@ def _operator_results(args, params):
         block = op.block(d)
         # tuples, not lists: the JSON and CSV bytes are the same, the
         # report held in memory is smaller
-        entries = [(i, j, str(value)) for (i, j), value in block.sorted_entries()]
+        entries = [
+            (i, j, str(value)) for (i, j), value in sorted(block.entries.items())
+        ]
         blocks.append(
             {
                 "degree": d,

@@ -4,7 +4,8 @@ A matrix stores its nonzero entries as integer numerators over one positive
 block denominator, kept in lowest terms, so equal matrices have equal
 fields.  Each numerator is keyed by its flat row-major position
 ``i * ncols + j``, a plain int, so a stored nonzero costs no ``(i, j)``
-tuple; the ``(i, j)`` API is decoded from it here and nowhere else.
+tuple; the ``(i, j)`` API is decoded from it here and nowhere else, and
+``entries`` is a {(i, j): Fraction} snapshot, not a view.
 Products, sums and scalings are integer arithmetic followed by one gcd
 reduction; a ``fractions.Fraction`` is made only where an entry is read.
 The blocks in this problem are very sparse (a few nonzeros per row), so
@@ -17,7 +18,6 @@ full column rank mod p proves a zero kernel without rational arithmetic.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -92,30 +92,23 @@ class RatMat:
         return self
 
     def __getitem__(self, key):
-        value = self.num.get(self._flat(key))
-        return ZERO if value is None else Fraction(value, self.den)
-
-    def _flat(self, key):
-        """The flat position of entry ``key`` = (i, j), or None outside the shape.
-
-        The range check keeps (0, ncols) from reading entry (1, 0).
-        """
+        # the range check keeps (0, ncols) from reading entry (1, 0)
         i, j = key
         if 0 <= i < self.nrows and 0 <= j < self.ncols:
-            return i * self.ncols + j
-        return None
+            value = self.num.get(i * self.ncols + j)
+            if value is not None:
+                return Fraction(value, self.den)
+        return ZERO
 
     @property
     def entries(self):
-        """Read-only {(i, j): Fraction} view of the nonzero entries."""
-        return _Entries(self)
+        """A {(i, j): Fraction} snapshot of the nonzero entries.
 
-    def sorted_entries(self):
-        """The nonzero entries as ((i, j), Fraction) pairs in row-major order."""
+        A matrix never changes, so a snapshot is as good as a view; changing
+        the returned dict changes nothing here.
+        """
         den, ncols = self.den, self.ncols
-        return [
-            (divmod(key, ncols), Fraction(v, den)) for key, v in sorted(self.num.items())
-        ]
+        return {divmod(key, ncols): Fraction(v, den) for key, v in self.num.items()}
 
     @property
     def shape(self):
@@ -160,27 +153,24 @@ class RatMat:
             raise DimensionError(
                 f"cannot multiply shapes {self.shape} and {other.shape}"
             )
-        # group both factors by row to keep the product sparse; each operand
-        # is decoded with its own width, the product keyed with other's
+        # group the right factor by row; each stored (i, l) of the left
+        # factor meets row l of it, and each term goes straight to its flat
+        # key in the product, keyed with other's width
         width = other.ncols
         right = {}
         for key, b in other.num.items():
             l, j = divmod(key, width)
             right.setdefault(l, []).append((j, b))
-        left = {}
-        for key, a in self.num.items():
-            i, l = divmod(key, self.ncols)
-            left.setdefault(i, []).append((l, a))
         num = {}
-        for i, terms in left.items():
-            row = {}
-            for l, a in terms:
-                for j, b in right.get(l, ()):
-                    row[j] = row.get(j, 0) + a * b
+        ncols = self.ncols
+        for key, a in self.num.items():
+            i, l = divmod(key, ncols)
             base = i * width
-            for j, value in row.items():
-                if value:
-                    num[base + j] = value
+            for j, b in right.get(l, ()):
+                flat = base + j
+                num[flat] = num.get(flat, 0) + a * b
+        for flat in [flat for flat, value in num.items() if not value]:
+            del num[flat]
         return RatMat(self.nrows, other.ncols)._take(num, self.den * other.den)
 
     def matvec(self, vec):
@@ -357,26 +347,3 @@ def _eliminate(entries, p=None):
         pivots.append(c)
         reduced.append(prow)
     return reduced, pivots
-
-
-class _Entries(Mapping):
-    """The read-only {(i, j): Fraction} view behind ``RatMat.entries``."""
-
-    __slots__ = ("_mat",)
-
-    def __init__(self, mat):
-        self._mat = mat
-
-    def __getitem__(self, key):
-        mat = self._mat
-        value = mat.num.get(mat._flat(key))
-        if value is None:
-            raise KeyError(key)
-        return Fraction(value, mat.den)
-
-    def __iter__(self):
-        ncols = self._mat.ncols
-        return (divmod(key, ncols) for key in self._mat.num)
-
-    def __len__(self):
-        return len(self._mat.num)

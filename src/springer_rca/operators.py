@@ -47,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm, prod
-from operator import add
+from operator import add, sub
 
 from .core import Record
 from .errors import DimensionError, InvariantError, TruncationError
@@ -343,20 +343,24 @@ class GradedOperator:
         return GradedOperator._composite(basis, shift, hi, rule)
 
     def __add__(self, other):
+        return self._blockwise(other, add)
+
+    def __sub__(self, other):
+        return self._blockwise(other, sub)
+
+    def _blockwise(self, other, op):
+        """The operator whose block d is ``op(self.block(d), other.block(d))``."""
         self._check_basis(other)
         if self.shift != other.shift:
             raise DimensionError(
-                f"cannot add operators of shifts {self.shift} and {other.shift}"
+                f"cannot combine operators of shifts {self.shift} and {other.shift}"
             )
         return GradedOperator._composite(
             self.basis,
             self.shift,
             min(self.max_source, other.max_source),
-            lambda d: self.block(d) + other.block(d),
+            lambda d: op(self.block(d), other.block(d)),
         )
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
 
     def scaled(self, c):
         return GradedOperator._composite(
@@ -380,15 +384,9 @@ class GradedOperator:
             for label, coeff in component.items():
                 coords[self.basis.index(d, label)] = coeff
             image = self.block(d).matvec(coords)
+            # images of different source degrees lie in different degrees
             stratum = self.basis.stratum(d + self.shift)
-            for i, value in enumerate(image):
-                if value != 0:
-                    label = stratum[i]
-                    total = out.get(label, Fraction(0)) + value
-                    if total == 0:
-                        out.pop(label, None)
-                    else:
-                        out[label] = total
+            out.update((stratum[i], value) for i, value in enumerate(image) if value)
         return out
 
     def __repr__(self):
@@ -407,6 +405,11 @@ def zero_operator(basis, shift=0):
 
 def commutator(a, b):
     return a @ b - b @ a
+
+
+def integer_weights(label, n, k):
+    """The integer weights P_a = n * phi_a = a * k - n * A_a of the label A."""
+    return [a * k - n * entry for a, entry in enumerate(label)]
 
 
 def gap_table(weights, k):
@@ -463,11 +466,10 @@ def minuscule_monopole(basis, coweight, dress=None):
                 [(c, [rep[i] for i in dslots]) for c, dslots in dress_terms],
             )
         )
-    offsets = [a * k for a in range(n)]
     off_diagonal = [a * n + b for a in range(n) for b in range(n) if a != b]
 
     def terms(label):
-        weights = [o - n * a for o, a in zip(offsets, label)]
+        weights = integer_weights(label, n, k)
         gaps, factors = gap_table(weights, k)
         # weight separation, which needs gcd(n, k) = 1, makes every D nonzero
         if not all(map(gaps.__getitem__, off_diagonal)):
@@ -490,14 +492,13 @@ def minuscule_monopole(basis, coweight, dress=None):
 
 
 def operator_h(basis):
-    """Cartan operator hbar - phi_1 - phi_2, diagonal; defined only for n = 2.
+    """Cartan operator hbar - sum_a phi_a, diagonal; defined only for n = 2.
 
-    On |A_1, A_2> the eigenvalue is A_1 + A_2 + 1 - k/2, which depends on
-    the degree d = A_1 + A_2 alone: each block is (d + 1 - k/2) times the
-    identity.
+    Each label's entry is read from the integer weights P = n * phi that
+    ``minuscule_monopole`` reads, as (n - sum_a P_a) / n with hbar = 1.
     """
     basis.params.require_rank_two()
-    k = basis.params.k
+    n, k = basis.params.n, basis.params.k
     return GradedOperator.assemble(
-        basis, 0, lambda label: ((label, 2 * sum(label) + 2 - k, 2),)
+        basis, 0, lambda label: ((label, n - sum(integer_weights(label, n, k)), n),)
     )

@@ -187,6 +187,18 @@ def test_out_of_shape_reads_alias_no_other_cell():
         m.entries[0, 5]
 
 
+def test_entries_is_a_snapshot():
+    m = RatMat(3, 5, {(1, 0): Fraction(7, 2), (2, 4): Fraction(-1, 3)})
+    entries = m.entries
+    assert entries == {(1, 0): Fraction(7, 2), (2, 4): Fraction(-1, 3)}
+    entries[1, 0] = Fraction(5)
+    entries[0, 0] = Fraction(1)
+    del entries[2, 4]
+    assert m[1, 0] == Fraction(7, 2) and m[0, 0] == 0 and m[2, 4] == Fraction(-1, 3)
+    assert m.entries == {(1, 0): Fraction(7, 2), (2, 4): Fraction(-1, 3)}
+    assert (0, 5) not in m.entries and (3, 0) not in m.entries
+
+
 def test_nullspace_known_kernel():
     # rank-1 matrix with an obvious kernel line
     a = mat([[1, 2], [2, 4]])

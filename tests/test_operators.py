@@ -270,6 +270,26 @@ def test_operator_h_requires_rank_two():
         operator_h(build_graded_basis(Params(3, 4), 2))
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 20), st.integers(0, 30))
+def test_operator_h_is_hbar_minus_the_weights(ell, D):
+    # H against hbar - phi_1 - phi_2 at each fixed point, phi read from the
+    # reference weights, and against the rank-two closed form
+    params = Params(2, 2 * ell + 1)
+    basis = build_graded_basis(params, D)
+    h = operator_h(basis)
+    closed = rank_two.closed_form_h(basis)
+    for d in range(D + 1):
+        labels = enumerate_fixed_points(params, d)
+        diagonal = {
+            (i, i): params.hbar - sum(phi_weights(label, params))
+            for i, label in enumerate(labels)
+        }
+        want = RatMat(len(labels), len(labels), diagonal)
+        assert h.block(d) == want
+        assert closed.block(d) == want
+
+
 @pytest.mark.parametrize("n,k,max_degree", [(2, 3, 7), (3, 4, 6), (2, 5, 6)])
 def test_route_equivalence(n, k, max_degree):
     """Target-evaluated coefficients equal excess(source) / tangent(target).
@@ -423,6 +443,27 @@ def test_composites_compute_blocks_on_demand(monkeypatch):
     assert len(x.blocks) == x.max_source + 1
 
 
+def test_difference_negates_no_block(monkeypatch):
+    # a - b subtracts block from block: no scaled(-1) copy of b's blocks
+    run = Truncation(Params(3, 4), 8)
+    x, y = run.x, run.y
+    calls = []
+    scaled = RatMat.scaled
+
+    def counted(self, c):
+        calls.append(c)
+        return scaled(self, c)
+
+    monkeypatch.setattr(RatMat, "scaled", counted)
+    comm = commutator(x, y)
+    blocks = [comm.block(d) for d in comm.domain()]
+    monkeypatch.undo()
+    assert calls == []
+    for d, block in enumerate(blocks):
+        negated = (y @ x).block(d).scaled(-1)
+        assert block == (x @ y).block(d) + negated
+
+
 def test_composition_domains():
     run = Truncation(Params(2, 3), 8)
     x, y = run.x, run.y
@@ -514,7 +555,7 @@ def test_dressed_full_rank_operators():
     dressed = run.monopole(1, 2, e1)
     plain = run.monopole(1, 2)
     for d in range(dressed.max_source + 1):
-        for (i, j), value in dressed.block(d).sorted_entries():
+        for (i, j), value in sorted(dressed.block(d).entries.items()):
             target = basis.stratum(d + 2)[i]
             expected = plain.block(d)[i, j] * evaluate(e1, phi_weights(target, p))
             assert value == expected
@@ -534,7 +575,7 @@ def test_dressing_follows_the_orbit():
     plain = run.x
     for d in range(dressed.max_source + 1):
         stratum = basis.stratum(d)
-        for (i, j), _ in plain.block(d).sorted_entries():
+        for (i, j), _ in sorted(plain.block(d).entries.items()):
             source = stratum[j]
             target = basis.stratum(d + 1)[i]
             slot = 0 if target[0] != source[0] else 1
