@@ -169,6 +169,7 @@ class RatMat:
             for j, b in right.get(l, ()):
                 flat = base + j
                 num[flat] = num.get(flat, 0) + a * b
+        # a sum that cancels stores nothing
         for flat in [flat for flat, value in num.items() if not value]:
             del num[flat]
         return RatMat(self.nrows, other.ncols)._take(num, self.den * other.den)
