@@ -51,7 +51,6 @@ from .verify import (
     Truncation,
     VerificationReport,
     applicable_suites,
-    check_weyl_relation,
     finite_part_character,
     kernel_y,
     lowest_weight_decomposition,

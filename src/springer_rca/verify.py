@@ -220,21 +220,22 @@ def first_difference(expected, actual, expected_key, actual_key):
 
     ``expected`` and ``actual`` list the counts of degrees 0, 1, ...; the
     witness is ``{"degree": d, expected_key: expected[d], actual_key: actual[d]}``.
+    Lists of different lengths raise InvariantError: every caller lists the
+    same degrees on both sides, and a missing degree is no agreement.
     """
+    if len(expected) != len(actual):
+        raise InvariantError(
+            f"{expected_key} lists {len(expected)} degrees, "
+            f"{actual_key} lists {len(actual)}"
+        )
     for d, (want, got) in enumerate(zip(expected, actual)):
         if want != got:
             return {"degree": d, expected_key: want, actual_key: got}
     return None
 
 
-def weyl_degree(params):
-    """Least truncation of the Weyl check, which compares degrees 0..D-2."""
-    return 2
-
-
-def check_weyl_relation(run):
+def _check_weyl_relation(run):
     """Compare [X, Y] against n * identity on degrees 0..D-2."""
-    run.require_degree(weyl_degree(run.params), "the Weyl relation is checked")
     comm = commutator(run.x, run.y)
     expected = identity_operator(run.basis, scale=run.params.n)
     degrees = range(min(run.max_degree - 2, comm.max_source) + 1)
@@ -285,14 +286,8 @@ def _rank_two_relations(run):
     yield "C2 = 2(E W- + F W+) + H W0 + m(m-1)", first_mismatch(diagonal, cubic)
 
 
-def sl2_degree(params):
-    """Least truncation of the rank-two relations check."""
-    return 1
-
-
-def check_sl2_and_casimir(run):
+def _check_sl2_and_casimir(run):
     """All rank-two commutators, the Casimir eigenvalues, and the cubic relation."""
-    run.require_degree(sl2_degree(run.params), "the rank-two relations are checked")
     checked = []
     for name, witness in _rank_two_relations(run):
         if witness:
@@ -360,7 +355,7 @@ def singular_vectors(run):
     return _graded_kernel(run, lowering, "joint kernel of F_r[1], r = 1..n")
 
 
-def check_singular_vectors(run):
+def _check_singular_vectors(run):
     """The vacuum class is the unique singular vector up to the truncation."""
     summary = singular_vectors(run)
     witness = first_difference(
@@ -420,7 +415,7 @@ def finite_part_character(run):
     return poly
 
 
-def check_kernel_y(run):
+def _check_kernel_y(run):
     """Kernel of Y against the closed dimension count and the finite character."""
     summary = kernel_y(run)
     expected_total = compactified_jacobian_dim(run.params)
@@ -453,7 +448,7 @@ def lowest_weight_decomposition(run):
     Returns (weight, degree, coords) triples; F drops degree by two, and
     each weight is read from H as (H v)_i / v_i at the first nonzero
     coordinate i of the kernel vector v.  The count is complete only for
-    max_degree >= k + 1, which ``check_appendix_b`` requires.
+    max_degree >= k + 1, where the appendix-b suite starts.
     """
     kernel = _graded_kernel(run, [run.f], "F")
     triples = []
@@ -463,7 +458,7 @@ def lowest_weight_decomposition(run):
     return triples
 
 
-def check_lowest_weight_decomposition(run):
+def _check_lowest_weight_decomposition(run):
     """Verma decomposition data: 2l+2 lowest-weight classes |0, A_2>.
 
     Each kernel vector v of F is checked to satisfy H v = w v, w its weight.
@@ -500,7 +495,7 @@ def check_lowest_weight_decomposition(run):
     )
 
 
-def check_closed_forms(run):
+def _check_closed_forms(run):
     """Generic localization matrices against the rank-two closed forms.
 
     Each closed form is built just before it is compared, not all five
@@ -531,22 +526,29 @@ def check_closed_forms(run):
     )
 
 
-def check_y_kernel_vectors(run):
-    """The l+1 explicit kernel vectors are annihilated by Y exactly."""
+def _check_y_kernel_vectors(run):
+    """The l+1 explicit kernel vectors are nonzero and annihilated by Y exactly.
+
+    The vector numbered N must lie in degree 2N.
+    """
     vectors = rank_two.y_kernel_vectors(run.ell)
+    expected_count = run.ell + 1
     witness = None
     degrees = []
-    for number, vec in enumerate(vectors):
-        image = run.y.apply(vec)
-        vec_degrees = {sum(label) for label in vec}
-        if image or vec_degrees != {2 * number}:
-            witness = {
-                "vector": number,
-                "support": [list(label) for label in vec],
-                "image": {str(k): str(v) for k, v in image.items()},
-            }
-            break
-        degrees.append(2 * number)
+    if len(vectors) != expected_count:
+        witness = {"expected_count": expected_count, "actual_count": len(vectors)}
+    else:
+        for number, vec in enumerate(vectors):
+            image = run.y.apply(vec)
+            vec_degrees = {sum(label) for label in vec}
+            if image or not any(vec.values()) or vec_degrees != {2 * number}:
+                witness = {
+                    "vector": number,
+                    "support": [list(label) for label in vec],
+                    "image": {str(k): str(v) for k, v in image.items()},
+                }
+                break
+            degrees.append(2 * number)
     return VerificationReport(
         "explicit kernel vectors of Y annihilate exactly",
         run.params,
@@ -601,7 +603,7 @@ def verify_stabilizer(params):
     )
 
 
-def check_character_identity(run):
+def _check_character_identity(run):
     """Fixed-point counts per degree against the Euler series coefficients."""
     params = run.params
     series = euler_series(params, run.max_degree)
@@ -620,18 +622,12 @@ def check_character_identity(run):
     )
 
 
-def appendix_b_degree(params):
-    """Least truncation at which the lowest-weight count is complete."""
-    return params.k + 1
-
-
-def check_appendix_b(run):
+def _check_appendix_b(run):
     """Rank-two closed forms, explicit kernel vectors of Y, and lowest weights."""
-    run.require_degree(appendix_b_degree(run.params), "the lowest-weight count stabilizes")
     reports = [
-        check_closed_forms(run),
-        check_y_kernel_vectors(run),
-        check_lowest_weight_decomposition(run),
+        _check_closed_forms(run),
+        _check_y_kernel_vectors(run),
+        _check_lowest_weight_decomposition(run),
     ]
     failed = [r for r in reports if not r.passed]
     return VerificationReport(
@@ -643,22 +639,20 @@ def check_appendix_b(run):
     )
 
 
-def _no_degree(params):
-    return 0
-
-
 class Suite(NamedTuple):
-    """One entry of ``SUITES``.
+    """One entry of ``SUITES``, whose preconditions ``run_suite`` applies.
 
-    ``rank_two`` says the suite needs n = 2, which ``run_suite`` checks
-    before the check runs; ``least_degree(params)`` is the least
-    ``max_degree`` at which its check certifies anything (the check's own
-    guard reads the same function), and ``check(run)`` returns its report.
+    ``rank_two`` says the suite needs n = 2; ``least_degree(params)`` is
+    the least ``max_degree`` at which its check certifies anything;
+    ``check(run)`` returns the report and assumes both preconditions, and
+    ``reason`` completes the under-truncation message of a suite whose
+    least degree is positive.
     """
 
     rank_two: bool
     least_degree: Callable
     check: Callable
+    reason: str | None = None
 
 
 # name -> Suite, in report order.  ``verify --suite all`` runs the suites
@@ -666,26 +660,50 @@ class Suite(NamedTuple):
 # lambdas look each check up when called, so a rebinding of a module name
 # (a tracing wrapper, a test double) takes effect.
 SUITES = {
-    "weyl": Suite(False, weyl_degree, lambda run: check_weyl_relation(run)),
-    "sl2": Suite(True, sl2_degree, lambda run: check_sl2_and_casimir(run)),
-    "singular": Suite(False, _no_degree, lambda run: check_singular_vectors(run)),
-    "kernel-y": Suite(False, stabilization_degree, lambda run: check_kernel_y(run)),
-    "appendix-b": Suite(True, appendix_b_degree, lambda run: check_appendix_b(run)),
-    "stabilizer": Suite(False, _no_degree, lambda run: verify_stabilizer(run.params)),
-    "euler": Suite(False, _no_degree, lambda run: check_character_identity(run)),
+    "weyl": Suite(
+        False, lambda params: 2, lambda run: _check_weyl_relation(run),
+        "the Weyl relation is checked",
+    ),
+    "sl2": Suite(
+        True, lambda params: 1, lambda run: _check_sl2_and_casimir(run),
+        "the rank-two relations are checked",
+    ),
+    "singular": Suite(
+        False, lambda params: 0, lambda run: _check_singular_vectors(run)
+    ),
+    "kernel-y": Suite(
+        False, stabilization_degree, lambda run: _check_kernel_y(run),
+        "kernel of Y stabilizes",
+    ),
+    "appendix-b": Suite(
+        True, lambda params: params.k + 1, lambda run: _check_appendix_b(run),
+        "the lowest-weight count stabilizes",
+    ),
+    "stabilizer": Suite(
+        False, lambda params: 0, lambda run: verify_stabilizer(run.params)
+    ),
+    "euler": Suite(False, lambda params: 0, lambda run: _check_character_identity(run)),
     "oracle": Suite(
-        False, _no_degree, lambda run: semigroup.compare_with_fixed_points(run)
+        False, lambda params: 0, lambda run: semigroup.compare_with_fixed_points(run)
     ),
 }
 
 
 def run_suite(name, run):
-    """Run one named verification suite on the shared truncation ``run``."""
+    """Run one named verification suite on the shared truncation ``run``.
+
+    This is the only route into a suite: it refuses n != 2 for a rank-two
+    suite, then a truncation below the suite's least degree, before any
+    basis or operator is built.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     suite = SUITES[name]
     if suite.rank_two:
         run.params.require_rank_two()
+    least = suite.least_degree(run.params)
+    if least:
+        run.require_degree(least, suite.reason)
     return suite.check(run)
 
 
@@ -693,7 +711,7 @@ def applicable_suites(run):
     """Suites that ``verify --suite all`` runs on this truncation.
 
     The rank-two suites need n = 2, and a suite is left out below
-    its least degree, where its check would stop the run with an
+    its least degree, where ``run_suite`` would stop the run with an
     under-truncation error.  All of this is decided before any suite runs.
     """
     return [

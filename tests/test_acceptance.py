@@ -21,15 +21,15 @@ from springer_rca import (
     kernel_y,
     lowest_weight_decomposition,
     Truncation,
+    run_suite,
     singular_vectors,
     verify_stabilizer,
 )
 from springer_rca.operators import MinusculeCoweight, commutator
 from springer_rca.rank_two import lowest_weight
 from springer_rca.verify import (
-    check_closed_forms,
-    check_sl2_and_casimir,
-    check_y_kernel_vectors,
+    _check_closed_forms,
+    _check_y_kernel_vectors,
     first_mismatch,
 )
 from test_operators import source_factors
@@ -107,7 +107,7 @@ def test_criterion_04_character_identity():
 
 def test_criterion_05_closed_forms():
     ok = all(
-        check_closed_forms(Truncation(Params(2, 2 * ell + 1), 12)).passed
+        _check_closed_forms(Truncation(Params(2, 2 * ell + 1), 12)).passed
         for ell in range(1, 5)
     )
     run = Truncation(Params(2, 3), 12)
@@ -122,7 +122,7 @@ def test_criterion_05_closed_forms():
 
 def test_criterion_06_sl2_and_casimir():
     ok = all(
-        check_sl2_and_casimir(Truncation(Params(2, 2 * ell + 1), 12)).passed
+        run_suite("sl2", Truncation(Params(2, 2 * ell + 1), 12)).passed
         for ell in range(1, 5)
     )
     _finish(6, "sl2 commutators, Casimir eigenvalues, cubic relation", ok)
@@ -130,7 +130,7 @@ def test_criterion_06_sl2_and_casimir():
 
 def test_criterion_07_y_kernel_vectors():
     ok = all(
-        check_y_kernel_vectors(Truncation(Params(2, 2 * ell + 1), 2 * ell + 1)).passed
+        _check_y_kernel_vectors(Truncation(Params(2, 2 * ell + 1), 2 * ell + 1)).passed
         for ell in range(1, 5)
     )
     _finish(7, "explicit ker Y vectors, N=0..l, l=1..4", ok)

@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from springer_rca import (
     InvariantError,
@@ -25,7 +26,7 @@ from springer_rca import (
     singular_vectors,
     stabilizer_cocharacter,
 )
-from springer_rca import linalg, operators, rank_two, verify
+from springer_rca import linalg, operators, rank_two, semigroup, verify
 from springer_rca.cli import main
 from springer_rca.linalg import RatMat
 from springer_rca.operators import (
@@ -38,16 +39,10 @@ from springer_rca.operators import (
 from springer_rca.verify import (
     SUITES,
     Truncation,
+    _check_lowest_weight_decomposition,
+    _check_y_kernel_vectors,
     _verified_nullspace,
     applicable_suites,
-    check_appendix_b,
-    check_character_identity,
-    check_kernel_y,
-    check_lowest_weight_decomposition,
-    check_singular_vectors,
-    check_sl2_and_casimir,
-    check_weyl_relation,
-    check_y_kernel_vectors,
     first_mismatch,
     VerificationReport,
     run_suite,
@@ -106,7 +101,7 @@ def _perturbed(cocharacter):
 
 @pytest.mark.parametrize("n,k,D", [(2, 3, 10), (3, 4, 8), (1, 5, 6)])
 def test_weyl_relation_passes(n, k, D):
-    report = check_weyl_relation(Truncation(Params(n, k), D))
+    report = run_suite("weyl", Truncation(Params(n, k), D))
     assert report.passed
     assert report.witness is None
 
@@ -114,7 +109,7 @@ def test_weyl_relation_passes(n, k, D):
 @pytest.mark.parametrize("D", [0, 1])
 def test_weyl_relation_requires_degree_2(D):
     with pytest.raises(UnderTruncationError) as info:
-        check_weyl_relation(Truncation(Params(3, 4), D))
+        run_suite("weyl", Truncation(Params(3, 4), D))
     assert info.value.required_degree == 2
 
 
@@ -124,7 +119,7 @@ def test_weyl_relation_fault_injection():
     y = run.y
     block = y.block(1)
     y.blocks[1] = block + RatMat(block.nrows, block.ncols, {(0, 0): 1})
-    report = check_weyl_relation(run)
+    report = run_suite("weyl", run)
     assert report.details["degrees_checked"] == [0, 4]
     assert not report.passed
     assert report.witness["degree"] in (0, 1)
@@ -133,16 +128,16 @@ def test_weyl_relation_fault_injection():
 
 @pytest.mark.parametrize("k", [3, 5])
 def test_sl2_and_casimir(k):
-    report = check_sl2_and_casimir(Truncation(Params(2, k), 10))
+    report = run_suite("sl2", Truncation(Params(2, k), 10))
     assert report.passed
     assert "Casimir diagonal" in report.details["relations_checked"]
 
 
 def test_sl2_rejects_bad_params():
     with pytest.raises(UnsupportedParametersError):
-        check_sl2_and_casimir(Truncation(Params(3, 4), 8))
+        run_suite("sl2", Truncation(Params(3, 4), 8))
     with pytest.raises(UnsupportedParametersError):
-        check_sl2_and_casimir(Truncation(Params(2, 4), 8))
+        run_suite("sl2", Truncation(Params(2, 4), 8))
 
 
 @pytest.mark.parametrize("suite", ["sl2", "appendix-b"])
@@ -222,7 +217,7 @@ def test_singular_vectors(n, k, D):
     assert all(summary.per_degree[d] == 0 for d in range(1, D + 1))
     [(d0, coords)] = summary.vectors
     assert d0 == 0 and list(coords) == [1]
-    assert check_singular_vectors(Truncation(Params(n, k), D)).passed
+    assert run_suite("singular", Truncation(Params(n, k), D)).passed
 
 
 def test_singular_witness_names_a_kernel_at_the_top_degree():
@@ -232,7 +227,7 @@ def test_singular_witness_names_a_kernel_at_the_top_degree():
     for r in (1, 2, 3):
         blocks = run.monopole(-1, r).blocks
         blocks[top] = RatMat(*blocks[top].shape)
-    report = check_singular_vectors(run)
+    report = run_suite("singular", run)
     assert report.witness == {
         "degree": top, "expected_dim": 0, "actual_dim": run.basis.dim(top)
     }
@@ -273,8 +268,8 @@ def test_kernel_y_counts():
     assert summary.total == 2
     assert {d: v for d, v in summary.per_degree.items() if v} == {0: 1, 2: 1}
     assert kernel_y(Truncation(Params(3, 4), 12)).total == 5
-    assert check_kernel_y(Truncation(Params(2, 3), 8)).passed
-    assert check_kernel_y(Truncation(Params(3, 4), 9)).passed
+    assert run_suite("kernel-y", Truncation(Params(2, 3), 8)).passed
+    assert run_suite("kernel-y", Truncation(Params(3, 4), 9)).passed
 
 
 def test_kernel_y_under_truncation():
@@ -308,10 +303,10 @@ def test_lowest_weight_decomposition():
         ("5/2", 3),
     ]
     assert len(lowest_weight_decomposition(Truncation(Params(2, 5), 10))) == 6
-    assert check_lowest_weight_decomposition(Truncation(Params(2, 3), 10)).passed
-    assert check_lowest_weight_decomposition(Truncation(Params(2, 7), 12)).passed
+    assert _check_lowest_weight_decomposition(Truncation(Params(2, 3), 10)).passed
+    assert _check_lowest_weight_decomposition(Truncation(Params(2, 7), 12)).passed
     with pytest.raises(UnderTruncationError):
-        check_appendix_b(Truncation(Params(2, 7), 7))
+        run_suite("appendix-b", Truncation(Params(2, 7), 7))
 
 
 def test_rank_two_lowering_kills_boundary_classes():
@@ -322,7 +317,58 @@ def test_rank_two_lowering_kills_boundary_classes():
 
 @pytest.mark.parametrize("ell", [1, 2])
 def test_y_kernel_vector_check(ell):
-    assert check_y_kernel_vectors(Truncation(Params(2, 2 * ell + 1), 2 * ell + 1)).passed
+    assert _check_y_kernel_vectors(Truncation(Params(2, 2 * ell + 1), 2 * ell + 1)).passed
+
+
+# (2, 7) has l = 3, so four kernel vectors in degrees 0, 2, 4, 6
+Y_KERNEL_FAULTS = {
+    "no vectors": (
+        lambda vectors: [], {"expected_count": 4, "actual_count": 0}
+    ),
+    "only the first": (
+        lambda vectors: vectors[:1], {"expected_count": 4, "actual_count": 1}
+    ),
+    "zero coefficients": (
+        lambda vectors: [dict.fromkeys(vec, 0) for vec in vectors],
+        {"vector": 0, "support": [[0, 0]], "image": {}},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "damage,witness", Y_KERNEL_FAULTS.values(), ids=Y_KERNEL_FAULTS.keys()
+)
+def test_wrong_y_kernel_vectors_exit_1(monkeypatch, capsys, damage, witness):
+    y_kernel_vectors = rank_two.y_kernel_vectors
+    monkeypatch.setattr(
+        rank_two, "y_kernel_vectors", lambda ell: damage(y_kernel_vectors(ell))
+    )
+    code = main(["verify", "--suite", "appendix-b", "--n", "2", "--k", "7", "-D", "8"])
+    [report] = json.loads(capsys.readouterr().out)["results"]["suites"]
+    assert code == 1
+    assert report["witness"] == witness
+    assert [sub["status"] for sub in report["details"]["subchecks"]] == [
+        "pass", "fail", "pass"
+    ]
+
+
+@pytest.mark.parametrize("change,length", [(-3, 6), (1, 10)])
+def test_count_lists_of_different_lengths_exit_5(monkeypatch, capsys, change, length):
+    count_ideals = semigroup.count_ideals
+
+    def resized(n, k, m):
+        counts = count_ideals(n, k, m)
+        return counts[:change] if change < 0 else counts + [0] * change
+
+    monkeypatch.setattr(semigroup, "count_ideals", resized)
+    code = main(["verify", "--suite", "oracle", "--n", "3", "--k", "4", "-D", "8"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err == (
+        "error: invariant violated: "
+        f"ideal_count lists {length} degrees, fixed_point_count lists 9\n"
+    )
 
 
 @pytest.mark.parametrize("n,k", [(2, 3), (3, 4), (1, 4)])
@@ -374,8 +420,8 @@ def test_stabilizer_requires_coprime():
 
 
 def test_character_identity_suite():
-    assert check_character_identity(Truncation(Params(2, 3), 12)).passed
-    assert check_character_identity(Truncation(Params(3, 5), 12)).passed
+    assert run_suite("euler", Truncation(Params(2, 3), 12)).passed
+    assert run_suite("euler", Truncation(Params(3, 5), 12)).passed
 
 
 def test_run_suite_dispatch():
@@ -429,6 +475,31 @@ def test_check_guards_read_the_least_degree(n, k):
         assert run_suite(name, Truncation(params, least)).passed, name
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    st.tuples(st.integers(1, 7), st.integers(1, 11)).filter(lambda nk: gcd(*nk) == 1),
+    st.integers(0, 80),
+)
+def test_every_guard_refuses_before_any_work(nk, D):
+    # a rank-two suite refuses n != 2 at every D; any other guarded suite
+    # refuses one below its least degree; neither builds the basis first
+    params = Params(*nk)
+    for name, suite in SUITES.items():
+        least = suite.least_degree(params)
+        if suite.rank_two and not params.rank_two:
+            run = Truncation(params, D)
+            with pytest.raises(UnsupportedParametersError):
+                run_suite(name, run)
+        elif least > 0:
+            run = Truncation(params, least - 1)
+            with pytest.raises(UnderTruncationError) as info:
+                run_suite(name, run)
+            assert info.value.required_degree == least, name
+        else:
+            continue
+        assert run._basis is None, name
+
+
 def test_report_status_follows_witness():
     p = Params(2, 3)
     passed = VerificationReport("x", p, 4, {"a": 1})
@@ -472,7 +543,7 @@ def _recorded_nullspaces(monkeypatch):
 
 def test_singular_takes_the_exact_nullspace_only_at_degree_0(monkeypatch):
     shapes = _recorded_nullspaces(monkeypatch)
-    assert check_singular_vectors(Truncation(Params(5, 6), 20)).passed
+    assert run_suite("singular", Truncation(Params(5, 6), 20)).passed
     # every lowering block at degree 0 has no rows; every later degree is
     # certified by its rank mod p
     assert shapes == [(0, 1)]
@@ -512,7 +583,7 @@ def test_failing_relation_stops_after_its_own_products(monkeypatch):
         return compose(self, other)
 
     monkeypatch.setattr(GradedOperator, "__matmul__", counted)
-    report = check_sl2_and_casimir(run)
+    report = run_suite("sl2", run)
     assert report.witness["relation"] == "[E,F] = H"
     assert report.details["relations_checked"] == []
     assert compositions == [(2, -2), (-2, 2)]
@@ -530,7 +601,7 @@ def _constant_casimir(monkeypatch):
 def test_failing_casimir_keeps_its_own_relation_name(monkeypatch):
     # every commutator holds, so the first witness is the Casimir's own
     _constant_casimir(monkeypatch)
-    report = check_sl2_and_casimir(Truncation(Params(2, 3), 6))
+    report = run_suite("sl2", Truncation(Params(2, 3), 6))
     assert report.witness["relation"] == "Casimir diagonal"
     assert list(report.witness) == [
         "degree", "row", "col", "source_label", "target_label",
@@ -567,14 +638,14 @@ def test_sl2_composes_the_casimir_once(monkeypatch):
     # the cubic relation is compared with the stored Casimir diagonal, so the
     # Casimir's products are made for its own check only
     products = _count_block_products(monkeypatch)
-    assert check_sl2_and_casimir(Truncation(Params(2, 5), 12)).passed
+    assert run_suite("sl2", Truncation(Params(2, 5), 12)).passed
     assert len(products) == 304
 
 
 def test_failing_cubic_relation_keeps_its_witness(monkeypatch):
     # a constant term off by one breaks only the cubic relation, the last
     _shifted_identity(monkeypatch)
-    report = check_sl2_and_casimir(Truncation(Params(2, 5), 12))
+    report = run_suite("sl2", Truncation(Params(2, 5), 12))
     assert report.witness == {
         "actual": "21/4",
         "col": 0,
@@ -591,7 +662,7 @@ def test_failing_cubic_relation_keeps_its_witness(monkeypatch):
 def test_lowest_weights_are_read_from_h(monkeypatch):
     # a doubled H doubles every weight the check reads off the kernel of F
     _doubled_h(monkeypatch)
-    report = check_lowest_weight_decomposition(Truncation(Params(2, 7), 12))
+    report = _check_lowest_weight_decomposition(Truncation(Params(2, 7), 12))
     assert report.witness == {
         "degree": 0, "expected_weight": "-5/2", "actual_weight": "-5", "coords": ["1"],
     }
@@ -609,7 +680,7 @@ def _skewed_h(basis):
 def test_lowest_weight_vector_must_be_an_h_eigenvector(monkeypatch):
     monkeypatch.setattr(verify, "operator_h", _skewed_h)
     run = Truncation(Params(2, 7), 12)
-    report = check_lowest_weight_decomposition(run)
+    report = _check_lowest_weight_decomposition(run)
     # the weight at the first coordinate is the predicted one
     assert report.witness["degree"] == 2
     assert report.witness["actual_weight"] == report.witness["expected_weight"] == "-1/2"
@@ -766,7 +837,7 @@ def test_weyl_check_holds_one_degree_of_products():
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        report = check_weyl_relation(run)
+        report = run_suite("weyl", run)
         peak = tracemalloc.get_traced_memory()[1] - base
         before = tracemalloc.get_traced_memory()[0]
         xy = x @ y
