@@ -35,19 +35,16 @@ from .operators import (
     operator_h,
 )
 from .qseries import (
-    QPolynomial,
     compactified_jacobian_dim,
     euler_series,
     qbinomial,
 )
 from .semigroup import (
     NumericalSemigroup,
-    SemigroupIdeal,
     compare_with_fixed_points,
     count_ideals,
 )
 from .verify import (
-    GradedKernelSummary,
     Truncation,
     VerificationReport,
     applicable_suites,

@@ -6,7 +6,10 @@ finite gap set G \\ D.  Counting gap sets of size m is a purely arithmetic
 computation that never touches the cocharacter combinatorics, which is what
 makes it a useful cross-check of the fixed-point counts.  One depth-first
 search lists every gap set of size at most m exactly once, so one search
-per run counts every colength up to the truncation.
+per run counts every colength up to the truncation.  A gap set is a plain
+frozenset: ``enumerate_gap_sets`` returns them, ``is_stable`` re-checks one
+against the definition, and ``count_ideals`` returns the list of counts by
+colength.
 """
 
 from __future__ import annotations
@@ -46,32 +49,20 @@ class NumericalSemigroup(Record):
         return [x for x in range(bound + 1) if x in self]
 
 
-class SemigroupIdeal(Record):
-    """A stable subset of the semigroup, recorded by its finite gap set."""
+def is_stable(gaps, semigroup):
+    """Whether the gap set ``gaps`` leaves an ideal: g + n and g + k never escape.
 
-    _fields = __slots__ = ("gaps",)
-
-    def __init__(self, gaps):
-        self._set(gaps=gaps)
-
-    @property
-    def colength(self):
-        return len(self.gaps)
-
-    def is_stable(self, semigroup):
-        """Check g + n and g + k never escape back out of the ideal.
-
-        Equivalently, the gap set is closed under subtracting either
-        generator whenever the result stays in the semigroup.
-        """
-        for g in self.gaps:
-            if g not in semigroup:
+    Equivalently, the gap set is closed under subtracting either generator
+    whenever the result stays in the semigroup.
+    """
+    for g in gaps:
+        if g not in semigroup:
+            return False
+        for step in (semigroup.n, semigroup.k):
+            lower = g - step
+            if lower in semigroup and lower not in gaps:
                 return False
-            for step in (semigroup.n, semigroup.k):
-                lower = g - step
-                if lower in semigroup and lower not in self.gaps:
-                    return False
-        return True
+    return True
 
 
 def enumerate_gap_sets(n, k, m):
@@ -86,7 +77,8 @@ def enumerate_gap_sets(n, k, m):
     path to it: a node records its set, then extends it by each later
     element whose predecessors it holds.  Past max(g, F) + n, g the largest
     chosen element, every element has its g - n in the semigroup but not
-    chosen, so the scan stops there.  Colengths come mixed.
+    chosen, so the scan stops there.  The list holds each gap set as a
+    frozenset, colengths mixed.
     """
     semigroup = NumericalSemigroup(n, k)
     if m < 0:
@@ -100,7 +92,7 @@ def enumerate_gap_sets(n, k, m):
     found = []
 
     def search(start, chosen, reach):
-        found.append(SemigroupIdeal(frozenset(chosen)))
+        found.append(frozenset(chosen))
         if len(chosen) == m:
             return
         for idx in range(start, len(window)):
@@ -119,17 +111,15 @@ def enumerate_gap_sets(n, k, m):
 def count_ideals(n, k, m):
     """Numbers of semigroup ideals of colength 0, 1, ..., m, from one search.
 
-    Each gap set is re-verified against the definition of stability before
-    it is counted; one that fails raises ``InvariantError``.
+    Each gap set is re-verified by ``is_stable`` before it is counted; one
+    that fails raises ``InvariantError``.
     """
     semigroup = NumericalSemigroup(n, k)
     counts = [0] * (m + 1)
-    for ideal in enumerate_gap_sets(n, k, m):
-        if not ideal.is_stable(semigroup):
-            raise InvariantError(
-                f"gap set {sorted(ideal.gaps)} of <{n}, {k}> is not stable"
-            )
-        counts[ideal.colength] += 1
+    for gaps in enumerate_gap_sets(n, k, m):
+        if not is_stable(gaps, semigroup):
+            raise InvariantError(f"gap set {sorted(gaps)} of <{n}, {k}> is not stable")
+        counts[len(gaps)] += 1
     return counts
 
 
@@ -143,8 +133,8 @@ def compare_with_fixed_points(run):
     from .verify import VerificationReport, first_difference
 
     params = run.params
-    counts_ideals = count_ideals(params.n, params.k, run.max_degree)
     counts_points = [run.basis.dim(d) for d in run.basis.degrees()]
+    counts_ideals = count_ideals(params.n, params.k, run.max_degree)
     return VerificationReport(
         "semigroup ideal counts match fixed-point counts",
         params,

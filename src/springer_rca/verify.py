@@ -5,7 +5,10 @@ localization matrices against closed forms, fixed-point counts against the
 series, kernels against dimension formulas) and reports exact pass/fail with
 a concrete witness on failure.  No floating point enters anywhere.  Every
 check takes one ``Truncation``, which builds the graded basis and each
-operator once for all the suites of a run.
+operator once for all the suites of a run.  The computations a check reads
+return plain data: ``singular_vectors`` and ``kernel_y`` one list of exact
+kernel vectors per degree, ``finite_part_character`` a coefficient list, and
+``lowest_weight_decomposition`` (weight, degree, coords) triples.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .core import Record, build_graded_basis, stabilizer_cocharacter
-from .errors import DimensionError, InvariantError, UnderTruncationError
+from .errors import (
+    DimensionError, InvariantError, TruncationError, UnderTruncationError
+)
 from .linalg import RatMat
 from .operators import (
     GradedOperator,
@@ -25,7 +30,7 @@ from .operators import (
     operator_h,
     zero_operator,
 )
-from .qseries import QPolynomial, compactified_jacobian_dim, euler_series
+from .qseries import compactified_jacobian_dim, euler_series
 from . import linalg, rank_two, semigroup
 
 
@@ -63,37 +68,6 @@ class VerificationReport(Record):
         }
 
 
-class GradedKernelSummary(Record):
-    """Per-degree kernel data with exact coordinate vectors."""
-
-    _fields = __slots__ = (
-        "n", "k", "max_degree", "operator", "per_degree", "total", "vectors"
-    )
-
-    def __init__(self, n, k, max_degree, operator, per_degree, total, vectors):
-        self._set(
-            n=n,
-            k=k,
-            max_degree=max_degree,
-            operator=operator,
-            per_degree=per_degree,
-            total=total,
-            vectors=vectors,
-        )
-
-    def to_dict(self):
-        return {
-            "params": {"n": self.n, "k": self.k, "max_degree": self.max_degree},
-            "operator": self.operator,
-            "per_degree": {str(d): dim for d, dim in sorted(self.per_degree.items())},
-            "total": self.total,
-            "vectors": [
-                {"degree": d, "coords": [str(c) for c in coords]}
-                for d, coords in self.vectors
-            ],
-        }
-
-
 class Truncation:
     """One run: the truncation (params, max_degree), its basis and its operators.
 
@@ -116,6 +90,8 @@ class Truncation:
     @property
     def basis(self):
         if self._basis is None:
+            if self.max_degree is None:
+                raise TruncationError("a truncation with no max_degree has no basis")
             self._basis = build_graded_basis(self.params, self.max_degree)
         return self._basis
 
@@ -126,7 +102,7 @@ class Truncation:
 
     def require_degree(self, required, what):
         """Raise UnderTruncationError unless max_degree >= required."""
-        if self.max_degree < required:
+        if self.max_degree is None or self.max_degree < required:
             raise UnderTruncationError(
                 f"{what} only for max_degree >= {required}, got {self.max_degree}",
                 required_degree=required,
@@ -329,38 +305,42 @@ def _verified_nullspace(blocks, dim):
     return vectors
 
 
-def _graded_kernel(run, operators, name):
-    """Per-degree joint kernel of ``operators`` on the run's basis."""
+def _graded_kernel(run, operators):
+    """Joint kernel of ``operators`` on the run's basis: its vectors, per degree."""
     basis = run.basis
-    per_degree = {}
-    vectors = []
-    for d in basis.degrees():
-        kernel = _verified_nullspace([op.block(d) for op in operators], basis.dim(d))
-        per_degree[d] = len(kernel)
-        vectors.extend((d, tuple(vec)) for vec in kernel)
-    return GradedKernelSummary(
-        n=run.params.n,
-        k=run.params.k,
-        max_degree=run.max_degree,
-        operator=name,
-        per_degree=per_degree,
-        total=sum(per_degree.values()),
-        vectors=vectors,
-    )
+    return [
+        _verified_nullspace([op.block(d) for op in operators], basis.dim(d))
+        for d in basis.degrees()
+    ]
+
+
+def _kernel_summary(run, name, kernels):
+    """The report's summary of the per-degree ``kernels`` of operator ``name``."""
+    return {
+        "params": {"n": run.params.n, "k": run.params.k, "max_degree": run.max_degree},
+        "operator": name,
+        "per_degree": {str(d): len(kernel) for d, kernel in enumerate(kernels)},
+        "total": sum(map(len, kernels)),
+        "vectors": [
+            {"degree": d, "coords": [str(c) for c in vec]}
+            for d, kernel in enumerate(kernels)
+            for vec in kernel
+        ],
+    }
 
 
 def singular_vectors(run):
-    """Joint kernel of all lowering operators F_1[1], ..., F_n[1], by degree."""
+    """Joint kernel of all lowering operators F_1[1], ..., F_n[1], per degree."""
     lowering = [run.monopole(-1, r) for r in range(1, run.params.n + 1)]
-    return _graded_kernel(run, lowering, "joint kernel of F_r[1], r = 1..n")
+    return _graded_kernel(run, lowering)
 
 
 def _check_singular_vectors(run):
     """The vacuum class is the unique singular vector up to the truncation."""
-    summary = singular_vectors(run)
+    kernels = singular_vectors(run)
     witness = first_difference(
         [1] + [0] * run.max_degree,
-        [summary.per_degree[d] for d in run.basis.degrees()],
+        [len(kernel) for kernel in kernels],
         "expected_dim",
         "actual_dim",
     )
@@ -368,7 +348,7 @@ def _check_singular_vectors(run):
         "joint kernel of the lowering family is spanned by the vacuum",
         run.params,
         run.max_degree,
-        {"summary": summary.to_dict()},
+        {"summary": _kernel_summary(run, "joint kernel of F_r[1], r = 1..n", kernels)},
         witness,
     )
 
@@ -379,13 +359,13 @@ def stabilization_degree(params):
 
 
 def kernel_y(run):
-    """Per-degree kernel of the lowering Weyl generator Y."""
+    """Kernel of the lowering Weyl generator Y: its vectors, per degree."""
     run.require_degree(stabilization_degree(run.params), "kernel of Y stabilizes")
-    return _graded_kernel(run, [run.y], "Y")
+    return _graded_kernel(run, [run.y])
 
 
 def finite_part_character(run):
-    """The polynomial (1 - q) times the graded Euler series.
+    """Coefficients of the polynomial (1 - q) times the graded Euler series.
 
     The series counts fixed points per degree; those counts stabilize, so
     the product is a polynomial of degree (n-1)(k-1) with nonnegative
@@ -395,37 +375,35 @@ def finite_part_character(run):
     params, max_degree = run.params, run.max_degree
     run.require_degree(stabilization_degree(params), "the finite part stabilizes")
     series = euler_series(params, max_degree)
-    diff = [
-        series.coefficient(d) - series.coefficient(d - 1)
-        for d in range(max_degree + 1)
-    ]
+    diff = [c - before for c, before in zip(series, [0] + series)]
     top = (params.n - 1) * (params.k - 1)
     if any(diff[top + 1 :]):
         raise InvariantError(f"the Euler series did not stabilize past degree {top}")
     if any(c < 0 for c in diff):
         raise InvariantError(f"the finite part {diff} has a negative coefficient")
-    poly = QPolynomial(diff)
-    if poly.degree != top:
-        raise InvariantError(f"the finite part has degree {poly.degree}, not {top}")
-    if poly(1) != compactified_jacobian_dim(params):
+    degree = max((d for d, c in enumerate(diff) if c), default=-1)
+    if degree != top:
+        raise InvariantError(f"the finite part has degree {degree}, not {top}")
+    if sum(diff) != compactified_jacobian_dim(params):
         raise InvariantError(
-            f"the finite part sums to {poly(1)}, not the compactified Jacobian "
+            f"the finite part sums to {sum(diff)}, not the compactified Jacobian "
             f"dimension {compactified_jacobian_dim(params)}"
         )
-    return poly
+    return diff[: top + 1]
 
 
 def _check_kernel_y(run):
     """Kernel of Y against the closed dimension count and the finite character."""
-    summary = kernel_y(run)
+    kernels = kernel_y(run)
+    dims = [len(kernel) for kernel in kernels]
     expected_total = compactified_jacobian_dim(run.params)
     character = finite_part_character(run)
-    if summary.total != expected_total:
-        witness = {"expected_total": expected_total, "actual_total": summary.total}
+    if sum(dims) != expected_total:
+        witness = {"expected_total": expected_total, "actual_total": sum(dims)}
     else:
         witness = first_difference(
-            [character.coefficient(d) for d in run.basis.degrees()],
-            [summary.per_degree[d] for d in run.basis.degrees()],
+            character + [0] * (len(dims) - len(character)),
+            dims,
             "expected_dim",
             "actual_dim",
         )
@@ -434,9 +412,9 @@ def _check_kernel_y(run):
         run.params,
         run.max_degree,
         {
-            "summary": summary.to_dict(),
+            "summary": _kernel_summary(run, "Y", kernels),
             "expected_total": expected_total,
-            "character_coefficients": list(character.coeffs),
+            "character_coefficients": character,
         },
         witness,
     )
@@ -450,11 +428,11 @@ def lowest_weight_decomposition(run):
     coordinate i of the kernel vector v.  The count is complete only for
     max_degree >= k + 1, where the appendix-b suite starts.
     """
-    kernel = _graded_kernel(run, [run.f], "F")
     triples = []
-    for d, coords in kernel.vectors:
-        i = next(i for i, c in enumerate(coords) if c)
-        triples.append((run.h.block(d).matvec(coords)[i] / coords[i], d, coords))
+    for d, kernel in enumerate(_graded_kernel(run, [run.f])):
+        for coords in kernel:
+            i = next(i for i, c in enumerate(coords) if c)
+            triples.append((run.h.block(d).matvec(coords)[i] / coords[i], d, coords))
     return triples
 
 
@@ -476,7 +454,7 @@ def _check_lowest_weight_decomposition(run):
             unit[basis.index(d, (0, d))] = Fraction(1)
             image = run.h.block(d).matvec(coords)
             eigen = image == [weight * c for c in coords]
-            if d != number or not eigen or weight != want_weight or list(coords) != unit:
+            if d != number or not eigen or weight != want_weight or coords != unit:
                 witness = {
                     "degree": d,
                     "expected_weight": str(want_weight),
@@ -606,7 +584,6 @@ def verify_stabilizer(params):
 def _check_character_identity(run):
     """Fixed-point counts per degree against the Euler series coefficients."""
     params = run.params
-    series = euler_series(params, run.max_degree)
     counts = [run.basis.dim(d) for d in run.basis.degrees()]
     return VerificationReport(
         "fixed-point counts equal the Euler series coefficients",
@@ -614,7 +591,7 @@ def _check_character_identity(run):
         run.max_degree,
         {"counts": counts},
         first_difference(
-            [series.coefficient(d) for d in run.basis.degrees()],
+            euler_series(params, run.max_degree),
             counts,
             "series_coefficient",
             "fixed_point_count",

@@ -67,9 +67,9 @@ def test_criterion_02_kernel_dimension():
     for (n, k), expected in zip(PAIRS, expected_totals):
         params = Params(n, k)
         max_degree = (n - 1) * (k - 1) + n
-        summary = kernel_y(Truncation(params, max_degree))
-        detail.append(summary.total)
-        if summary.total != expected or summary.total != compactified_jacobian_dim(params):
+        total = sum(map(len, kernel_y(Truncation(params, max_degree))))
+        detail.append(total)
+        if total != expected or total != compactified_jacobian_dim(params):
             ok = False
     _finish(2, "dim ker Y equals C(n+k-1,n-1)/n", ok, f" totals={detail}")
 
@@ -77,7 +77,8 @@ def test_criterion_02_kernel_dimension():
 def test_kernel_dimension_sweep():
     # criterion 02 on every coprime n <= 6, k <= 9 at the stabilization degree
     for n, k in [(n, k) for n in range(1, 7) for k in range(1, 10) if gcd(n, k) == 1]:
-        total = kernel_y(Truncation(Params(n, k), (n - 1) * (k - 1) + n)).total
+        kernels = kernel_y(Truncation(Params(n, k), (n - 1) * (k - 1) + n))
+        total = sum(map(len, kernels))
         assert n * total == comb(n + k - 1, n - 1), (n, k, total)
 
 
@@ -85,10 +86,10 @@ def test_criterion_03_singular_vector():
     max_degree = 10
     ok = True
     for n, k in PAIRS:
-        summary = singular_vectors(Truncation(Params(n, k), max_degree))
-        if summary.per_degree[0] != 1:
+        kernels = singular_vectors(Truncation(Params(n, k), max_degree))
+        if len(kernels[0]) != 1:
             ok = False
-        if any(summary.per_degree[d] != 0 for d in range(1, max_degree - n + 1)):
+        if any(kernels[d] for d in range(1, max_degree - n + 1)):
             ok = False
     _finish(3, "joint kernel of F_r[1] is the vacuum line", ok)
 
@@ -100,7 +101,7 @@ def test_criterion_04_character_identity():
         params = Params(n, k)
         series = euler_series(params, max_degree)
         for d in range(max_degree + 1):
-            if len(enumerate_fixed_points(params, d)) != series.coefficient(d):
+            if len(enumerate_fixed_points(params, d)) != series[d]:
                 ok = False
     _finish(4, "fixed-point counts match the Euler series through degree 20", ok)
 
@@ -199,12 +200,12 @@ def test_criterion_11_boundary_vanishing():
 
 
 def test_criterion_12_betti_polynomials():
-    ok = betti_2k(3, -2).coeffs == (1, 0, 1)
+    ok = betti_2k(3, -2) == (1, 0, 1)
     for k in (1, 3, 5, 7, 9):
         ell = k // 2
         params = Params(2, k)
         for m in range(0, -13, -1):
-            total = betti_2k(k, m)(1)
+            total = sum(betti_2k(k, m))
             if total != min(-m // 2, ell) + 1:
                 ok = False
             if total != len(enumerate_fixed_points(params, -m)):
@@ -214,6 +215,6 @@ def test_criterion_12_betti_polynomials():
         for m in range(-k, -13, -1):
             copies = -m - k + 1
             cells = copies * (ell + 1) - (copies - 1)
-            if betti_2k(k, m)(1) != 1 + copies * ell or 1 + copies * ell != cells:
+            if sum(betti_2k(k, m)) != 1 + copies * ell or 1 + copies * ell != cells:
                 ok = False
     _finish(12, "Betti polynomials of the rank-two components", ok)

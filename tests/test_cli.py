@@ -310,9 +310,10 @@ def test_verify_all_skips_suites_below_their_least_degree(capsys):
     assert payload["results"]["all_passed"] is True
 
 
-def test_verify_all_7_8_24_skips_kernel_y(capsys):
-    # the stabilization degree of (7, 8) is 49: kernel-y is skipped up front
-    code, payload, err = _verify_payload(capsys, "all", 7, 8, 24)
+def test_verify_all_7_8_10_skips_kernel_y(capsys):
+    # the stabilization degree of (7, 8) is 49: kernel-y is skipped up front;
+    # CI runs the same check at D = 24
+    code, payload, err = _verify_payload(capsys, "all", 7, 8, 10)
     assert code == 0, err
     assert payload["results"]["skipped_suites"] == ["sl2", "kernel-y", "appendix-b"]
     assert payload["results"]["all_passed"] is True

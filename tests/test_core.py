@@ -104,7 +104,7 @@ def test_stratum_counts_match_euler_series(n, k):
     basis = build_graded_basis(p, 12)
     series = euler_series(p, 12)
     for d in basis.degrees():
-        assert basis.dim(d) == series.coefficient(d)
+        assert basis.dim(d) == series[d]
 
 
 def test_basis_index_roundtrip():

@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 from springer_rca import (
     InvariantError,
     Params,
-    SemigroupIdeal,
+    SpringerRcaError,
     StabilizerCocharacter,
+    TruncationError,
     UnderTruncationError,
     UnsupportedParametersError,
     build_graded_basis,
@@ -212,11 +213,10 @@ def test_casimir_witness_matches_dense_reference(degree, delta):
 
 @pytest.mark.parametrize("n,k,D", [(2, 3, 10), (3, 4, 9)])
 def test_singular_vectors(n, k, D):
-    summary = singular_vectors(Truncation(Params(n, k), D))
-    assert summary.per_degree[0] == 1
-    assert all(summary.per_degree[d] == 0 for d in range(1, D + 1))
-    [(d0, coords)] = summary.vectors
-    assert d0 == 0 and list(coords) == [1]
+    kernels = singular_vectors(Truncation(Params(n, k), D))
+    assert len(kernels) == D + 1
+    assert kernels[0] == [[1]]
+    assert not any(kernels[1:])
     assert run_suite("singular", Truncation(Params(n, k), D)).passed
 
 
@@ -264,10 +264,10 @@ def test_singular_vector_survives_dressing():
 
 
 def test_kernel_y_counts():
-    summary = kernel_y(Truncation(Params(2, 3), 8))
-    assert summary.total == 2
-    assert {d: v for d, v in summary.per_degree.items() if v} == {0: 1, 2: 1}
-    assert kernel_y(Truncation(Params(3, 4), 12)).total == 5
+    kernels = kernel_y(Truncation(Params(2, 3), 8))
+    nonzero = {d: len(kernel) for d, kernel in enumerate(kernels) if kernel}
+    assert nonzero == {0: 1, 2: 1}
+    assert sum(map(len, kernel_y(Truncation(Params(3, 4), 12)))) == 5
     assert run_suite("kernel-y", Truncation(Params(2, 3), 8)).passed
     assert run_suite("kernel-y", Truncation(Params(3, 4), 9)).passed
 
@@ -279,19 +279,18 @@ def test_kernel_y_under_truncation():
 
 
 def test_finite_part_character_values():
-    assert finite_part_character(Truncation(Params(2, 3), 8)).coeffs == (1, 0, 1)
-    assert finite_part_character(Truncation(Params(2, 5), 10)).coeffs == (1, 0, 1, 0, 1)
+    assert finite_part_character(Truncation(Params(2, 3), 8)) == [1, 0, 1]
+    assert finite_part_character(Truncation(Params(2, 5), 10)) == [1, 0, 1, 0, 1]
     with pytest.raises(UnderTruncationError):
         finite_part_character(Truncation(Params(4, 5), 10))
 
 
 def test_finite_part_matches_kernel_dims():
     run = Truncation(Params(3, 4), 12)
-    poly = finite_part_character(run)
-    summary = kernel_y(run)
-    for d in range(13):
-        assert summary.per_degree.get(d, 0) == poly.coefficient(d)
-    assert poly(1) == summary.total
+    character = finite_part_character(run)
+    dims = [len(kernel) for kernel in kernel_y(run)]
+    assert dims == character + [0] * (13 - len(character))
+    assert sum(character) == sum(dims)
 
 
 def test_lowest_weight_decomposition():
@@ -498,6 +497,30 @@ def test_every_guard_refuses_before_any_work(nk, D):
         else:
             continue
         assert run._basis is None, name
+
+
+# the truncation of the stabilizer suite: no max_degree
+NO_DEGREE_ERRORS = {
+    "weyl": UnderTruncationError,
+    "sl2": UnderTruncationError,
+    "singular": TruncationError,
+    "kernel-y": UnderTruncationError,
+    "appendix-b": UnderTruncationError,
+    "euler": TruncationError,
+    "oracle": TruncationError,
+}
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_suites_without_max_degree_raise_package_errors(name):
+    run = Truncation(Params(2, 3), None)
+    if name == "stabilizer":
+        assert run_suite(name, run).passed
+        return
+    with pytest.raises(SpringerRcaError) as info:
+        run_suite(name, run)
+    assert type(info.value) is NO_DEGREE_ERRORS[name]
+    assert run._basis is None
 
 
 def test_report_status_follows_witness():
@@ -945,18 +968,18 @@ def test_zero_denominator_check_survives_optimize_flag():
     assert result.stdout.startswith("zero denominator for ")
 
 
-def _never_stable(ideal, semigroup):
+def _never_stable(gaps, semigroup):
     return False
 
 
 def test_unstable_gap_set_raises(monkeypatch):
-    monkeypatch.setattr(SemigroupIdeal, "is_stable", _never_stable)
-    with pytest.raises(InvariantError, match="is not stable"):
+    monkeypatch.setattr(semigroup, "is_stable", _never_stable)
+    with pytest.raises(InvariantError, match=r"^gap set \[\] of <2, 3> is not stable$"):
         count_ideals(2, 3, 2)
 
 
 def test_unstable_gap_set_exits_5(monkeypatch, capsys):
-    monkeypatch.setattr(SemigroupIdeal, "is_stable", _never_stable)
+    monkeypatch.setattr(semigroup, "is_stable", _never_stable)
     code = main(["verify", "--suite", "oracle", "--n", "3", "--k", "4", "--max-degree", "6"])
     captured = capsys.readouterr()
     assert code == 5
@@ -967,9 +990,9 @@ def test_unstable_gap_set_exits_5(monkeypatch, capsys):
 def test_stability_check_survives_optimize_flag():
     code = (
         "import sys\n"
-        "from springer_rca import InvariantError, SemigroupIdeal, count_ideals\n"
+        "from springer_rca import InvariantError, count_ideals, semigroup\n"
         "from springer_rca.cli import main\n"
-        "SemigroupIdeal.is_stable = lambda ideal, semigroup: False\n"
+        "semigroup.is_stable = lambda gaps, semigroup: False\n"
         "try:\n"
         "    count_ideals(2, 3, 2)\n"
         "except InvariantError:\n"
