@@ -28,10 +28,10 @@ from .errors import (
 from .operators import (
     DressPolynomial,
     GradedOperator,
-    MinusculeCoweight,
     commutator,
     identity_operator,
     minuscule_monopole,
+    minuscule_orbit,
     operator_h,
 )
 from .qseries import (
@@ -40,7 +40,6 @@ from .qseries import (
     qbinomial,
 )
 from .semigroup import (
-    NumericalSemigroup,
     compare_with_fixed_points,
     count_ideals,
 )

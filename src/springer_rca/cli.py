@@ -161,21 +161,11 @@ def _params(args, *names):
         raise UsageError(str(exc))
 
 
-# encoder chunks joined per write: a report goes out in pieces of this many
-# chunks, never as one string
-JSON_BATCH = 4096
-
-
 def _write(stream, args, payload, csv_rows):
     if (args.format or "json") == "json":
-        batch = []
-        for chunk in json.JSONEncoder(indent=2).iterencode(payload):
-            batch.append(chunk)
-            if len(batch) == JSON_BATCH:
-                stream.write("".join(batch))
-                batch.clear()
-        batch.append("\n")
-        stream.write("".join(batch))
+        # json.dump writes the encoder's chunks one at a time, never one string
+        json.dump(payload, stream, indent=2)
+        stream.write("\n")
     else:
         # only a CSV report loads the csv module
         import csv

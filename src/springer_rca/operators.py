@@ -1,8 +1,10 @@
 """Monopole operators on the graded fixed-point basis, with exact arithmetic.
 
 A minuscule monopole operator acts on a fixed-point class |A> by a sum over
-the Weyl orbit of its coweight.  For an orbit element lam with target
-B = A + lam, the coefficient is
+the Weyl orbit of its coweight, a plain vector of 0s and one sign such as
+(1, 1, 0) or (0, -1, -1).  ``minuscule_orbit`` alone checks that vector and
+lists its orbit, one row of factor indices per element.  For an orbit
+element lam with target B = A + lam, the coefficient is
 
     f(phi(B)) * N(lam, phi(B)) / D(lam, phi(B))
 
@@ -49,7 +51,6 @@ from itertools import combinations
 from math import comb, lcm, prod
 from operator import add, sub
 
-from .core import Record
 from .errors import DimensionError, InvariantError, TruncationError
 from .linalg import RatMat
 
@@ -156,88 +157,6 @@ class DressPolynomial:
 
     def __repr__(self):
         return f"DressPolynomial({self.nvars}, {self.terms!r})"
-
-
-class MinusculeCoweight(Record):
-    """Coweight +/-(1,...,1,0,...,0) with r nonzero entries out of n."""
-
-    _fields = __slots__ = ("sign", "r", "n")
-
-    def __init__(self, sign, r, n):
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if not 1 <= r <= n:
-            raise ValueError(f"r must lie in [1, n], got r={r}, n={n}")
-        self._set(sign=sign, r=r, n=n)
-
-    @classmethod
-    def from_vector(cls, vector):
-        vector = tuple(vector)
-        nonzero = [v for v in vector if v != 0]
-        if not nonzero:
-            raise ValueError("the zero coweight is not a monopole charge")
-        sign = 1 if nonzero[0] > 0 else -1
-        if any(v not in (0, sign) for v in vector):
-            raise ValueError(
-                f"{vector} is not minuscule: entries must be 0 and a single sign"
-            )
-        return cls(sign=sign, r=len(nonzero), n=len(vector))
-
-    @property
-    def expansion(self):
-        return tuple(self.sign if i < self.r else 0 for i in range(self.n))
-
-    @property
-    def shift(self):
-        """Degree change d(A + lam) - d(A), the same for the whole orbit."""
-        return self.sign * self.r
-
-    def orbit(self):
-        """Weyl orbit as (vector, representative) pairs, deterministic order.
-
-        The representative w lists which variable each slot of a dressing
-        polynomial reads: slots 0..r-1 map to the nonzero positions in
-        increasing order, the rest to the complement.
-        """
-        out = []
-        for positions in combinations(range(self.n), self.r):
-            vector = [0] * self.n
-            for p in positions:
-                vector[p] = self.sign
-            complement = [i for i in range(self.n) if i not in positions]
-            rep = tuple(positions) + tuple(complement)
-            out.append((tuple(vector), rep))
-        return out
-
-    def orbit_factors(self):
-        """Orbit as (vector, representative, pairs, slots, scale) tuples.
-
-        The adjoint pairs (a, b) with vector[a] > vector[b] and the vector
-        slots a with vector[a] < 0 index the factors of N and D; for a
-        minuscule coweight each contributes one factor (alpha, beta and
-        gamma are all 1).  The scale n ** len(slots) is the power of n by
-        which the integer ratio exceeds N / D.
-        """
-        out = []
-        for vector, rep in self.orbit():
-            pairs = tuple(
-                (a, b)
-                for a in range(self.n)
-                for b in range(self.n)
-                if vector[a] > vector[b]
-            )
-            slots = tuple(a for a in range(self.n) if vector[a] < 0)
-            out.append((vector, rep, pairs, slots, self.n ** len(slots)))
-        return out
-
-    def stabilizer_transpositions(self):
-        """Adjacent transpositions generating the stabilizer S_r x S_{n-r}."""
-        perms = []
-        for i in list(range(self.r - 1)) + list(range(self.r, self.n - 1)):
-            p = list(range(self.n))
-            p[i], p[i + 1] = p[i + 1], p[i]
-            perms.append(tuple(p))
-        return perms
 
 
 class GradedOperator:
@@ -425,11 +344,49 @@ def gap_table(weights, k):
     return gaps, [g - k for g in gaps] + weights
 
 
+def minuscule_orbit(coweight):
+    """The Weyl orbit of a minuscule coweight as (vector, rep, pairs, slots, scale).
+
+    ``coweight`` is a vector of 0s and one sign, not all 0; any other
+    vector raises ValueError.  Its orbit is every placement of its r
+    nonzero entries, in the order of ``combinations(range(n), r)``, and
+    depends only on the sign, r and n.  The representative ``rep`` lists
+    which variable each slot of a dressing polynomial reads: slots 0..r-1
+    map to the nonzero positions in increasing order, the rest to the
+    complement.  The adjoint pairs (a, b) with vector[a] > vector[b] and
+    the vector slots a with vector[a] < 0 index the factors of N and D;
+    for a minuscule coweight each contributes one factor (alpha, beta and
+    gamma are all 1).  The scale n ** len(slots) is the power of n by
+    which the integer ratio exceeds N / D.
+    """
+    coweight = tuple(coweight)
+    n = len(coweight)
+    nonzero = [v for v in coweight if v != 0]
+    if not nonzero:
+        raise ValueError("the zero coweight is not a monopole charge")
+    sign = 1 if nonzero[0] > 0 else -1
+    if any(v not in (0, sign) for v in coweight):
+        raise ValueError(
+            f"{coweight} is not minuscule: entries must be 0 and a single sign"
+        )
+    out = []
+    for positions in combinations(range(n), len(nonzero)):
+        vector = tuple(sign if a in positions else 0 for a in range(n))
+        rep = positions + tuple(a for a in range(n) if a not in positions)
+        pairs = tuple(
+            (a, b) for a in range(n) for b in range(n) if vector[a] > vector[b]
+        )
+        slots = tuple(a for a in range(n) if vector[a] < 0)
+        out.append((vector, rep, pairs, slots, n ** len(slots)))
+    return out
+
+
 def minuscule_monopole(basis, coweight, dress=None):
     """Matrix of the dressed minuscule monopole operator on the truncation.
 
-    The dressing must be invariant under the stabilizer of the coweight in
-    the symmetric group; each orbit term evaluates it at the target weights
+    ``coweight`` is a vector of length n (see ``minuscule_orbit``).  The
+    dressing must be invariant under the stabilizer S_r x S_{n-r} of the
+    sorted charge; each orbit term evaluates it at the target weights
     through the orbit representative.  Each orbit term's N is read from
     the source's gap table; a term with N = 0 vanishes identically and is
     dropped, and every other term goes to ``GradedOperator.assemble``, which
@@ -437,25 +394,32 @@ def minuscule_monopole(basis, coweight, dress=None):
     vanishes.  Weight separation is checked once per source label.
     """
     n, k = basis.params.n, basis.params.k
-    if not isinstance(coweight, MinusculeCoweight):
-        coweight = MinusculeCoweight.from_vector(coweight)
-    if coweight.n != n:
-        raise DimensionError(f"coweight has length {coweight.n}, expected {n}")
+    table = minuscule_orbit(coweight)
+    # every orbit vector has the charge's length and degree shift
+    lam = table[0][0]
+    if len(lam) != n:
+        raise DimensionError(f"coweight has length {len(lam)}, expected {n}")
     if dress is None:
         dress = DressPolynomial.one(n)
     if dress.nvars != n:
         raise DimensionError("dressing polynomial has the wrong variable count")
-    if not dress.is_invariant(coweight.stabilizer_transpositions()):
+    shift = sum(lam)
+    # the adjacent transpositions that generate S_r x S_{n-r}, r = |shift|
+    stabilizer = [
+        (*range(i), i + 1, i, *range(i + 2, n))
+        for i in range(n - 1)
+        if i != abs(shift) - 1
+    ]
+    if not dress.is_invariant(stabilizer):
         raise ValueError(
             "dressing polynomial is not invariant under the coweight stabilizer"
         )
-    shift = coweight.shift
     # f(phi) = f(P / n): integer terms over dress_scale, read through rep
     dress_terms, dress_scale = dress.integer_form(n)
     # flat indices into the gap_table rows: N reads its pairs and then its
     # slots, D its pairs alone
     orbit = []
-    for lam, rep, pairs, slots, scale in coweight.orbit_factors():
+    for lam, rep, pairs, slots, scale in table:
         pair_index = [a * n + b for a, b in pairs]
         orbit.append(
             (

@@ -9,58 +9,40 @@ search lists every gap set of size at most m exactly once, so one search
 per run counts every colength up to the truncation.  A gap set is a plain
 frozenset: ``enumerate_gap_sets`` returns them, ``is_stable`` re-checks one
 against the definition, and ``count_ideals`` returns the list of counts by
-colength.
+colength.  ``Params`` validates (n, k), and the search window and the
+re-check test membership through one predicate, ``membership(n, k)``.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
-from .core import Record
-from .errors import InvariantError, UnsupportedParametersError
+from .core import Params
+from .errors import InvariantError
 
 
-class NumericalSemigroup(Record):
-    """The additive monoid {a*n + b*k : a, b >= 0} for coprime n, k."""
+def membership(n, k):
+    """The membership predicate of the semigroup {a*n + b*k : a, b >= 0}.
 
-    _fields = __slots__ = ("n", "k")
-
-    def __init__(self, n, k):
-        if n < 1 or k < 1:
-            raise ValueError("generators must be positive")
-        if gcd(n, k) != 1:
-            raise UnsupportedParametersError(
-                f"generators ({n}, {k}) are not coprime; the gap "
-                "set of the semigroup is infinite"
-            )
-        self._set(n=n, k=k)
-
-    @property
-    def frobenius(self):
-        """Largest integer not in the semigroup (-1 when n or k is 1)."""
-        return self.n * self.k - self.n - self.k
-
-    def __contains__(self, x):
-        # x = a*n + b*k with b < n the least such: b = x / k mod n, and then
-        # x is a member iff a >= 0, i.e. iff b*k <= x
-        return x >= 0 and (x * pow(self.k, -1, self.n) % self.n) * self.k <= x
-
-    def elements_up_to(self, bound):
-        return [x for x in range(bound + 1) if x in self]
+    x = a*n + b*k with b < n the least such: b = x / k mod n, and then x is
+    a member iff a >= 0, i.e. iff b*k <= x.  The inverse of k mod n is
+    computed here, once, not per test.
+    """
+    inverse = pow(k, -1, n)
+    return lambda x: x >= 0 and (x * inverse % n) * k <= x
 
 
-def is_stable(gaps, semigroup):
-    """Whether the gap set ``gaps`` leaves an ideal: g + n and g + k never escape.
+def is_stable(gaps, params):
+    """Whether ``gaps`` leaves an ideal of <n, k>: g + n and g + k never escape.
 
     Equivalently, the gap set is closed under subtracting either generator
     whenever the result stays in the semigroup.
     """
+    member = membership(params.n, params.k)
     for g in gaps:
-        if g not in semigroup:
+        if not member(g):
             return False
-        for step in (semigroup.n, semigroup.k):
+        for step in (params.n, params.k):
             lower = g - step
-            if lower in semigroup and lower not in gaps:
+            if member(lower) and lower not in gaps:
                 return False
     return True
 
@@ -80,11 +62,11 @@ def enumerate_gap_sets(n, k, m):
     chosen, so the scan stops there.  The list holds each gap set as a
     frozenset, colengths mixed.
     """
-    semigroup = NumericalSemigroup(n, k)
+    Params(n, k)  # refuses a non-positive or non-coprime (n, k)
     if m < 0:
         raise ValueError("colength must be nonnegative")
-    frobenius = semigroup.frobenius
-    window = semigroup.elements_up_to(frobenius + m * n)
+    frobenius = n * k - n - k
+    window = list(filter(membership(n, k), range(frobenius + m * n + 1)))
     members = set(window)
     predecessors = [
         [g - step for step in (n, k) if g - step in members] for g in window
@@ -114,10 +96,10 @@ def count_ideals(n, k, m):
     Each gap set is re-verified by ``is_stable`` before it is counted; one
     that fails raises ``InvariantError``.
     """
-    semigroup = NumericalSemigroup(n, k)
+    params = Params(n, k)
     counts = [0] * (m + 1)
     for gaps in enumerate_gap_sets(n, k, m):
-        if not is_stable(gaps, semigroup):
+        if not is_stable(gaps, params):
             raise InvariantError(f"gap set {sorted(gaps)} of <{n}, {k}> is not stable")
         counts[len(gaps)] += 1
     return counts

@@ -23,7 +23,6 @@ from .errors import (
 from .linalg import RatMat
 from .operators import (
     GradedOperator,
-    MinusculeCoweight,
     commutator,
     identity_operator,
     minuscule_monopole,
@@ -114,8 +113,8 @@ class Truncation:
         The lowering family evaluates its dressing at phi - hbar where the
         raising family uses phi; with no dressing the twist is invisible.
         """
-        coweight = MinusculeCoweight(sign, r, self.params.n)
-        key = (coweight.expansion, dress)
+        coweight = (sign,) * r + (0,) * (self.params.n - r)
+        key = (coweight, dress)
         if key not in self._operators:
             if dress is not None and sign < 0:
                 dress = dress.shift_all(self.params.hbar)

@@ -25,14 +25,14 @@ from springer_rca import (
     singular_vectors,
     verify_stabilizer,
 )
-from springer_rca.operators import MinusculeCoweight, commutator
+from springer_rca.operators import commutator, minuscule_orbit
 from springer_rca.rank_two import lowest_weight
 from springer_rca.verify import (
     _check_closed_forms,
     _check_y_kernel_vectors,
     first_mismatch,
 )
-from test_operators import source_factors
+from test_operators import charge, source_factors
 from test_qseries import betti_2k
 
 PAIRS = [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (4, 5)]
@@ -182,7 +182,7 @@ def test_criterion_11_boundary_vanishing():
         basis = build_graded_basis(params, max_degree)
         for sign in (1, -1):
             for r in range(1, n + 1):
-                orbit = MinusculeCoweight(sign, r, n).orbit_factors()
+                orbit = minuscule_orbit(charge(sign, r, n))
                 for d in basis.degrees():
                     for label in basis.stratum(d):
                         for lam, _rep, pairs, slots, _scale in orbit:

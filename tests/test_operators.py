@@ -1,6 +1,8 @@
 """Monopole operator coefficients, operator algebra, and dressing."""
 
+import re
 from fractions import Fraction
+from itertools import permutations
 from math import gcd, prod
 
 import pytest
@@ -9,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from springer_rca import (
     DimensionError,
     DressPolynomial,
-    MinusculeCoweight,
     Params,
     Truncation,
     TruncationError,
@@ -20,6 +21,7 @@ from springer_rca import (
     identity_operator,
     is_admissible,
     minuscule_monopole,
+    minuscule_orbit,
     operator_h,
 )
 from springer_rca import rank_two
@@ -28,6 +30,11 @@ from springer_rca.operators import gap_table, zero_operator
 from test_core import phi_weights
 
 COPRIME_PAIRS = [(n, k) for n in range(1, 6) for k in range(1, 10) if gcd(n, k) == 1]
+
+
+def charge(sign, r, n):
+    """The sorted minuscule charge sign * (1^r, 0^(n-r))."""
+    return (sign,) * r + (0,) * (n - r)
 
 
 def evaluate(poly, values):
@@ -52,7 +59,7 @@ def source_factors(pairs, slots, weights, n, k):
     """N and D of one orbit term, read from the source's ``gap_table``.
 
     ``weights`` are the source's integer weights n * phi, and ``pairs`` and
-    ``slots`` come from ``MinusculeCoweight.orbit_factors``.
+    ``slots`` come from a row of ``minuscule_orbit``.
     """
     gaps, factors = gap_table(weights, k)
     index = [a * n + b for a, b in pairs]
@@ -166,10 +173,11 @@ def reference_monopole(basis, coweight, dress=None):
     """Operator entries {(d, i, j): value} assembled over Fraction."""
     p = basis.params
     dress = DressPolynomial.one(p.n) if dress is None else dress
+    shift = sum(coweight)
     out = {}
-    for d in range(basis.max_degree - max(0, coweight.shift) + 1):
+    for d in range(basis.max_degree - max(0, shift) + 1):
         for j, label in enumerate(basis.stratum(d)):
-            for lam, rep in coweight.orbit():
+            for lam, rep, *_ in minuscule_orbit(coweight):
                 target = tuple(a + l for a, l in zip(label, lam))
                 if not is_admissible(target, p):
                     continue
@@ -180,7 +188,7 @@ def reference_monopole(basis, coweight, dress=None):
                     / sca_denominator(lam, phis)
                 )
                 if value:
-                    out[d, basis.index(d + coweight.shift, target), j] = value
+                    out[d, basis.index(d + shift, target), j] = value
     return out
 
 
@@ -213,26 +221,35 @@ def test_excess_factor_examples():
 
 
 def test_minuscule_coweight_validation():
-    cw = MinusculeCoweight.from_vector((0, -1, -1))
-    assert (cw.sign, cw.r, cw.n) == (-1, 2, 3)
-    assert cw.expansion == (-1, -1, 0)
-    assert cw.shift == -2
-    assert MinusculeCoweight.from_vector((1, 0)).expansion == (1, 0)
+    # (0, -1, -1) is the charge of sign -1 and r = 2 out of n = 3: its table
+    # is that of (-1, -1, 0), and its degree shift is -2
+    orbit = minuscule_orbit((0, -1, -1))
+    assert orbit == minuscule_orbit(charge(-1, 2, 3))
+    assert {sum(lam) for lam, *_ in orbit} == {-2}
+    assert [lam for lam, *_ in minuscule_orbit((1, 0))] == [(1, 0), (0, 1)]
+    with pytest.raises(ValueError, match=r"^the zero coweight is not a monopole charge$"):
+        minuscule_orbit((0, 0))
+    for bad in ((1, -1), (0, 2)):
+        message = f"{bad} is not minuscule: entries must be 0 and a single sign"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            minuscule_orbit(bad)
+    # the charge is checked before its length, which is checked before the
+    # dressing
+    basis = build_graded_basis(Params(3, 4), 2)
+    with pytest.raises(ValueError, match="not minuscule") as caught:
+        minuscule_monopole(basis, (1, -1), DressPolynomial(2))
+    assert not isinstance(caught.value, DimensionError)
+    with pytest.raises(DimensionError, match=r"^coweight has length 2, expected 3$"):
+        minuscule_monopole(basis, (1, 0), DressPolynomial(2))
     with pytest.raises(ValueError):
-        MinusculeCoweight.from_vector((1, -1))
-    with pytest.raises(ValueError):
-        MinusculeCoweight.from_vector((0, 0))
-    with pytest.raises(ValueError):
-        MinusculeCoweight.from_vector((0, 2))
-    with pytest.raises(ValueError):
-        MinusculeCoweight(1, 0, 2)
+        Truncation(Params(2, 3), 4).monopole(1, 0)
 
 
 def test_orbit_enumeration():
-    cw = MinusculeCoweight(1, 2, 3)
-    vectors = [v for v, _ in cw.orbit()]
+    orbit = minuscule_orbit((1, 1, 0))
+    vectors = [lam for lam, *_ in orbit]
     assert vectors == [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
-    reps = {v: w for v, w in cw.orbit()}
+    reps = {lam: rep for lam, rep, *_ in orbit}
     assert reps[(0, 1, 1)] == (1, 2, 0)
 
 
@@ -303,8 +320,7 @@ def test_route_equivalence(n, k, max_degree):
         for label in enumerate_fixed_points(p, d):
             for sign in (1, -1):
                 for r in range(1, n + 1):
-                    cw = MinusculeCoweight(sign, r, n)
-                    for lam, _rep in cw.orbit():
+                    for lam, *_ in minuscule_orbit(charge(sign, r, n)):
                         target = tuple(a + l for a, l in zip(label, lam))
                         if not is_admissible(target, p):
                             continue
@@ -328,7 +344,7 @@ def test_boundary_vanishing(n, k, max_degree):
         for label in enumerate_fixed_points(p, d):
             for sign in (1, -1):
                 for r in range(1, n + 1):
-                    for lam, _rep in MinusculeCoweight(sign, r, n).orbit():
+                    for lam, *_ in minuscule_orbit(charge(sign, r, n)):
                         target = tuple(a + l for a, l in zip(label, lam))
                         if is_admissible(target, p):
                             continue
@@ -354,9 +370,10 @@ def test_integer_kernel_matches_fraction_reference(data):
     n, k = data.draw(st.sampled_from(COPRIME_PAIRS))
     p = Params(n, k)
     label = data.draw(st.sampled_from(enumerate_fixed_points(p, data.draw(st.integers(0, 12)))))
-    cw = MinusculeCoweight(data.draw(st.sampled_from((1, -1))), data.draw(st.integers(1, n)), n)
-    dress = data.draw(st.sampled_from(_dressings(n, cw.r)))
-    lam, rep, pairs, slots, scale = data.draw(st.sampled_from(cw.orbit_factors()))
+    r = data.draw(st.integers(1, n))
+    cw = charge(data.draw(st.sampled_from((1, -1))), r, n)
+    dress = data.draw(st.sampled_from(_dressings(n, r)))
+    lam, rep, pairs, slots, scale = data.draw(st.sampled_from(minuscule_orbit(cw)))
     target = tuple(a + l for a, l in zip(label, lam))
     numerator, denominator = source_factors(
         pairs, slots, [a * k - n * b for a, b in enumerate(label)], n, k
@@ -402,7 +419,7 @@ def test_operators_match_fraction_reference_assembly(n, k):
     basis, small = build_graded_basis(params, 12), build_graded_basis(params, 8)
     for sign in (1, -1):
         for r in range(1, n + 1):
-            cw = MinusculeCoweight(sign, r, n)
+            cw = charge(sign, r, n)
             got = _entries(minuscule_monopole(basis, cw))
             assert got == reference_monopole(basis, cw), (sign, r)
             for dress in _dressings(n, r)[1:]:
@@ -541,9 +558,9 @@ def test_dressing_invariance_enforced():
     basis = build_graded_basis(Params(3, 4), 4)
     bad = variable(3, 1)  # not fixed by the stabilizer of (1,0,0)
     with pytest.raises(ValueError):
-        minuscule_monopole(basis, MinusculeCoweight(1, 1, 3), bad)
+        minuscule_monopole(basis, (1, 0, 0), bad)
     good = variable(3, 0)
-    minuscule_monopole(basis, MinusculeCoweight(1, 1, 3), good)
+    minuscule_monopole(basis, (1, 0, 0), good)
 
 
 def test_dressed_full_rank_operators():
@@ -571,7 +588,7 @@ def test_dressing_follows_the_orbit():
     run = Truncation(p, 6)
     basis = run.basis
     first = variable(2, 0)
-    dressed = minuscule_monopole(basis, MinusculeCoweight(1, 1, 2), first)
+    dressed = minuscule_monopole(basis, (1, 0), first)
     plain = run.x
     for d in range(dressed.max_source + 1):
         stratum = basis.stratum(d)
@@ -591,3 +608,30 @@ def test_minuscule_monopole_matches_named_builders():
     x = run.x
     for d in range(x.max_source + 1):
         assert via_vector.block(d) == x.block(d)
+
+
+SMALL_COPRIME_PAIRS = [(n, k) for n in range(1, 8) for k in range(1, 12) if gcd(n, k) == 1]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_a_permuted_charge_is_its_sorted_charge(data):
+    # every coprime n <= 7, both signs, every r and a drawn placement of the
+    # charge's nonzero entries
+    n, k = data.draw(st.sampled_from(SMALL_COPRIME_PAIRS))
+    r = data.draw(st.integers(1, n))
+    sorted_charge = charge(data.draw(st.sampled_from((1, -1))), r, n)
+    permuted = tuple(data.draw(st.permutations(sorted_charge)))
+    orbit = minuscule_orbit(permuted)
+    vectors = [lam for lam, *_ in orbit]
+    assert len(set(vectors)) == len(vectors)
+    assert set(vectors) == set(permutations(sorted_charge))
+    run = Truncation(Params(n, k), 6)
+    dress = data.draw(st.sampled_from(_dressings(n, r)))
+    via_permuted = minuscule_monopole(run.basis, permuted, dress)
+    via_sorted = minuscule_monopole(run.basis, sorted_charge, dress)
+    assert via_permuted.shift == via_sorted.shift == sum(sorted_charge)
+    assert via_permuted.blocks == via_sorted.blocks
+    for sign, bad_r in ((1, 0), (1, n + 1), (2, 1)):
+        with pytest.raises(ValueError):
+            run.monopole(sign, bad_r)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from springer_rca import (
-    NumericalSemigroup,
     Params,
     Truncation,
     UnsupportedParametersError,
@@ -14,7 +13,7 @@ from springer_rca import (
     count_ideals,
     euler_series,
 )
-from springer_rca.semigroup import enumerate_gap_sets, is_stable
+from springer_rca.semigroup import enumerate_gap_sets, is_stable, membership
 
 
 def loop_contains(x, n, k):
@@ -31,7 +30,7 @@ def reference_gap_sets(n, k, m):
     [0, F + m*n] in increasing order; an element may be included only when
     g - n and g - k, where in the semigroup, already are.
     """
-    frobenius = NumericalSemigroup(n, k).frobenius
+    frobenius = n * k - n - k
     window = [x for x in range(frobenius + m * n + 1) if loop_contains(x, n, k)]
     found = []
 
@@ -55,26 +54,28 @@ def reference_gap_sets(n, k, m):
 
 
 def test_membership_and_frobenius():
-    gamma = NumericalSemigroup(2, 3)
-    assert gamma.frobenius == 1
-    assert 0 in gamma and 2 in gamma and 3 in gamma and 100 in gamma
-    assert 1 not in gamma and -1 not in gamma
-    gamma45 = NumericalSemigroup(4, 5)
-    assert gamma45.frobenius == 11
-    assert [x for x in range(13) if x not in gamma45] == [1, 2, 3, 6, 7, 11]
+    # the Frobenius number nk - n - k is the largest non-member
+    member = membership(2, 3)
+    assert all(map(member, (0, 2, 3, 100)))
+    assert not member(1) and not member(-1)
+    member45 = membership(4, 5)
+    assert [x for x in range(13) if not member45(x)] == [1, 2, 3, 6, 7, 11]
+    assert all(map(member45, range(12, 40)))
 
 
 def test_membership_matches_loop_reference():
     # every coprime n, k <= 13 and x in [-3, F + 3n + 4]
     for n, k in [(n, k) for n in range(1, 14) for k in range(1, 14) if gcd(n, k) == 1]:
-        gamma = NumericalSemigroup(n, k)
-        for x in range(-3, gamma.frobenius + 3 * n + 5):
-            assert (x in gamma) == loop_contains(x, n, k), (n, k, x)
+        member = membership(n, k)
+        for x in range(-3, n * k - n - k + 3 * n + 5):
+            assert member(x) == loop_contains(x, n, k), (n, k, x)
 
 
 def test_non_coprime_rejected():
-    with pytest.raises(UnsupportedParametersError):
-        NumericalSemigroup(2, 4)
+    # the search and the count validate through Params, the one check
+    for search in (enumerate_gap_sets, count_ideals):
+        with pytest.raises(UnsupportedParametersError, match=r"^\(n, k\) = \(2, 4\)"):
+            search(2, 4, 3)
 
 
 def test_count_examples():
@@ -94,13 +95,22 @@ def test_gap_sets_explicit_small():
 
 @pytest.mark.parametrize("n,k", [(2, 3), (3, 4), (2, 5)])
 def test_enumerated_ideals_are_stable(n, k):
-    gamma = NumericalSemigroup(n, k)
+    params = Params(n, k)
     for m in range(6):
         gap_sets = enumerate_gap_sets(n, k, m)
         assert len(set(gap_sets)) == len(gap_sets)
         assert {len(gaps) for gaps in gap_sets} == set(range(m + 1))
         for gaps in gap_sets:
-            assert is_stable(gaps, gamma)
+            assert is_stable(gaps, params)
+
+
+def test_is_stable_rejects_non_ideals():
+    # a non-member, and a member whose in-semigroup predecessor is kept
+    params = Params(2, 3)
+    assert is_stable(frozenset({0, 2}), params)
+    assert not is_stable(frozenset({0, 1}), params)
+    assert not is_stable(frozenset({2}), params)
+    assert not is_stable(frozenset({0, 5}), params)
 
 
 @st.composite
