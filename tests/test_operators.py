@@ -610,7 +610,7 @@ def test_minuscule_monopole_matches_named_builders():
         assert via_vector.block(d) == x.block(d)
 
 
-SMALL_COPRIME_PAIRS = [(n, k) for n in range(1, 8) for k in range(1, 12) if gcd(n, k) == 1]
+SWEEP_PAIRS = [(n, k) for n in range(1, 8) for k in range(1, 12) if gcd(n, k) == 1]
 
 
 @settings(deadline=None, max_examples=60)
@@ -618,7 +618,7 @@ SMALL_COPRIME_PAIRS = [(n, k) for n in range(1, 8) for k in range(1, 12) if gcd(
 def test_a_permuted_charge_is_its_sorted_charge(data):
     # every coprime n <= 7, both signs, every r and a drawn placement of the
     # charge's nonzero entries
-    n, k = data.draw(st.sampled_from(SMALL_COPRIME_PAIRS))
+    n, k = data.draw(st.sampled_from(SWEEP_PAIRS))
     r = data.draw(st.integers(1, n))
     sorted_charge = charge(data.draw(st.sampled_from((1, -1))), r, n)
     permuted = tuple(data.draw(st.permutations(sorted_charge)))
