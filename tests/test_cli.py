@@ -1,6 +1,7 @@
 """CLI contract: commands, exit codes, determinism, config handling."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -540,9 +541,24 @@ WRITER_CASES = {
 }
 
 
+class _RawSink(io.RawIOBase):
+    """A raw byte stream that keeps every write it is handed."""
+
+    def __init__(self):
+        self.writes = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+
+@pytest.mark.parametrize("buffer_size", [1, 7, 4096])
 @pytest.mark.parametrize("argv", WRITER_CASES.values(), ids=WRITER_CASES.keys())
 def test_report_is_written_in_pieces_as_json_dumps_writes_it(
-    argv, capsys, monkeypatch, tmp_path
+    argv, buffer_size, capsys, monkeypatch, tmp_path
 ):
     payloads = []
     make_payload = cli._payload
@@ -552,24 +568,32 @@ def test_report_is_written_in_pieces_as_json_dumps_writes_it(
         return payloads[-1]
 
     monkeypatch.setattr(cli, "_payload", recorded)
+    # stdout is a text layer over a byte buffer of `buffer_size` bytes, so the
+    # encoder's chunks reach the raw stream split and joined at that size
+    raw = _RawSink()
+    text = io.TextIOWrapper(
+        io.BufferedWriter(raw, buffer_size=buffer_size),
+        encoding="utf-8", newline="\n", write_through=True,
+    )
     writes = []
-    stdout = sys.stdout
 
     class Recorder:
-        def write(self, text):
-            writes.append(text)
-            return stdout.write(text)
+        def write(self, chunk):
+            writes.append(chunk)
+            return text.write(chunk)
 
     monkeypatch.setattr(sys, "stdout", Recorder())
     code = main(list(argv))
-    monkeypatch.setattr(sys, "stdout", stdout)
-    out = capsys.readouterr().out
+    monkeypatch.undo()
+    text.flush()
     assert code == 0
+    out = b"".join(raw.writes).decode("utf-8")
     [payload] = payloads
     assert out == json.dumps(payload, indent=2) + "\n"
     # one write per encoder chunk, then the final newline
     chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload))
     assert 1 < len(writes) == chunks + 1
+    assert len(raw.writes) > 1
     target = tmp_path / "report.json"
     assert run_cli(capsys, *argv, "--output", str(target))[:2] == (0, "")
     assert target.read_text(encoding="utf-8") == out
