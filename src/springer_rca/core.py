@@ -6,60 +6,21 @@ ideals are labeled by integer vectors A = (A_1, ..., A_n) satisfying
     A_1 >= 0,    A_a <= A_{a+1},    A_n - A_1 <= k,
 
 and a fixed point of degree d contributes to the Hilbert scheme of d points,
-where d(A) = sum(A).  Everything here is a pure function of immutable data.
+where d(A) = sum(A).  Everything here is a pure function of immutable values:
+``Params`` and ``StabilizerCocharacter`` are named tuples, so ``Params(2, 3)
+== (2, 3)``, and ``GradedBasis`` is an immutable slotted class.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
 from .errors import DimensionError, TruncationError, UnsupportedParametersError
 
 
-class Record:
-    """Base of the package's immutable records.
-
-    A subclass lists the attributes that make its value in ``_fields``,
-    in the order its ``__init__`` takes them, declares its ``__slots__``
-    and sets each attribute once, in ``__init__``, through ``_set``.  Two
-    records of one class are equal, and hash alike, when their ``_fields``
-    are; copying and pickling rebuild a record from them.
-    """
-
-    __slots__ = ()
-    _fields = ()
-
-    def _set(self, **values):
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
-
-    def _key(self):
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return type(self), self._key()
-
-    def __repr__(self):
-        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({values})"
-
-
-class Params(Record):
+class Params(namedtuple("Params", "n k")):
     """Singularity datum (n, k) with the coupling m = -k/n and hbar = 1.
 
     Only coprime (n, k) is accepted: then the germ x^n = t^k is irreducible
@@ -68,9 +29,9 @@ class Params(Record):
     so no later step checks coprimality again.
     """
 
-    _fields = __slots__ = ("n", "k")
+    __slots__ = ()
 
-    def __init__(self, n, k):
+    def __new__(cls, n, k):
         if n < 1 or k < 1:
             raise ValueError(f"n and k must be positive, got ({n}, {k})")
         if gcd(n, k) != 1:
@@ -78,7 +39,12 @@ class Params(Record):
                 f"(n, k) = ({n}, {k}) is not coprime; torus fixed "
                 "points are not isolated, so this operation is unsupported"
             )
-        self._set(n=n, k=k)
+        return super().__new__(cls, n, k)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Build through ``__new__``, so ``_replace`` checks its pair too."""
+        return cls(*iterable)
 
     @property
     def m(self) -> Fraction:
@@ -148,28 +114,42 @@ def enumerate_fixed_points(params: Params, d: int) -> list:
     return out
 
 
-class GradedBasis(Record):
+class GradedBasis:
     """Canonically ordered fixed-point classes per degree, up to a truncation.
 
     ``strata[d]`` lists the labels of degree d, and ``positions(d)`` maps
     each of them to its position in the stratum.  These per-stratum label
     maps are the package's one fixed-point test, and take no part in
     equality: a vector missing from ``positions(d)`` breaks an inequality
-    or does not have degree d.
+    or does not have degree d.  Equality, hash, copy and pickle read
+    ``(params, max_degree, strata)``; unpickling rebuilds the label maps.
     """
 
-    _fields = ("params", "max_degree", "strata")
-    __slots__ = _fields + ("_positions",)
+    __slots__ = ("params", "max_degree", "strata", "_positions")
 
     def __init__(self, params, max_degree, strata):
-        self._set(
-            params=params,
-            max_degree=max_degree,
-            strata=strata,
-            _positions=tuple(
-                {entries: i for i, entries in enumerate(stratum)} for stratum in strata
-            ),
+        positions = tuple(
+            {entries: i for i, entries in enumerate(stratum)} for stratum in strata
         )
+        for name, value in zip(self.__slots__, (params, max_degree, strata, positions)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return GradedBasis, (self.params, self.max_degree, self.strata)
+
+    def __eq__(self, other):
+        if type(other) is not GradedBasis:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GradedBasis is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GradedBasis is immutable")
 
     def __repr__(self):
         return f"GradedBasis(params={self.params!r}, max_degree={self.max_degree})"
@@ -213,21 +193,14 @@ def build_graded_basis(params: Params, max_degree: int) -> GradedBasis:
     return GradedBasis(params, max_degree, strata)
 
 
-class StabilizerCocharacter(Record):
-    """Exponent data of the one-parameter stabilizer of the curve datum.
+StabilizerCocharacter = namedtuple(
+    "StabilizerCocharacter", "diag_exponents flavor_exponent rot_exponent"
+)
+StabilizerCocharacter.__doc__ = """Exponent data of the one-parameter stabilizer of the curve datum.
 
     nu acts by (diag(nu^0, nu^k, ..., nu^{(n-1)k}), nu^{-k}, nu^n) on the
     pair (matrix, cyclic vector) and by loop rotation t -> nu^n t.
     """
-
-    _fields = __slots__ = ("diag_exponents", "flavor_exponent", "rot_exponent")
-
-    def __init__(self, diag_exponents, flavor_exponent, rot_exponent):
-        self._set(
-            diag_exponents=diag_exponents,
-            flavor_exponent=flavor_exponent,
-            rot_exponent=rot_exponent,
-        )
 
 
 def stabilizer_cocharacter(params: Params) -> StabilizerCocharacter:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .core import Record, build_graded_basis, stabilizer_cocharacter
+from .core import Params, build_graded_basis, stabilizer_cocharacter
 from .errors import (
     DimensionError, InvariantError, TruncationError, UnderTruncationError
 )
@@ -33,19 +33,14 @@ from .qseries import compactified_jacobian_dim, euler_series
 from . import linalg, rank_two, semigroup
 
 
-class VerificationReport(Record):
+class VerificationReport(NamedTuple):
     """Outcome of one named check; it passes exactly when it has no witness."""
 
-    _fields = __slots__ = ("claim", "params", "max_degree", "details", "witness")
-
-    def __init__(self, claim, params, max_degree, details, witness=None):
-        self._set(
-            claim=claim,
-            params=params,
-            max_degree=max_degree,
-            details=details,
-            witness=witness,
-        )
+    claim: str
+    params: Params
+    max_degree: int | None
+    details: dict
+    witness: dict | None = None
 
     @property
     def status(self):
@@ -113,7 +108,13 @@ class Truncation:
         The lowering family evaluates its dressing at phi - hbar where the
         raising family uses phi; with no dressing the twist is invisible.
         """
-        coweight = (sign,) * r + (0,) * (self.params.n - r)
+        n = self.params.n
+        if sign not in (1, -1) or not 1 <= r <= n:
+            raise ValueError(
+                f"a monopole needs sign 1 or -1 and 1 <= r <= n, "
+                f"got sign = {sign}, r = {r}, n = {n}"
+            )
+        coweight = (sign,) * r + (0,) * (n - r)
         key = (coweight, dress)
         if key not in self._operators:
             if dress is not None and sign < 0:
@@ -571,11 +572,7 @@ def verify_stabilizer(params):
         "the diagonal cocharacter stabilizes the curve datum",
         params,
         None,
-        {
-            "diag_exponents": list(cocharacter.diag_exponents),
-            "flavor_exponent": cocharacter.flavor_exponent,
-            "rot_exponent": cocharacter.rot_exponent,
-        },
+        dict(cocharacter._asdict(), diag_exponents=list(cocharacter.diag_exponents)),
         stabilizer_witness(cocharacter, params.k),
     )
 

@@ -14,6 +14,7 @@ from springer_rca import (
     Params,
     TruncationError,
     UnsupportedParametersError,
+    VerificationReport,
     build_graded_basis,
     enumerate_fixed_points,
     euler_series,
@@ -231,3 +232,39 @@ def test_records_are_immutable_values():
     for record in (p, basis, stabilizer_cocharacter(p)):
         assert copy.copy(record) == pickle.loads(pickle.dumps(record)) == record
     assert pickle.loads(pickle.dumps(basis)).index(4, (1, 3)) == basis.index(4, (1, 3))
+    for attr in ("max_degree", "strata", "_positions", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(basis, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(basis, attr)
+    assert basis.max_degree == 4 and basis.positions(4)
+    assert repr(basis) == "GradedBasis(params=Params(n=2, k=3), max_degree=4)"
+    # copying, unpickling and the named tuple's _replace all run the
+    # coprimality check again
+    unchecked = tuple.__new__(Params, (2, 4))
+    for rebuild in (copy.copy, lambda q: pickle.loads(pickle.dumps(q))):
+        with pytest.raises(UnsupportedParametersError):
+            rebuild(unchecked)
+    with pytest.raises(UnsupportedParametersError):
+        p._replace(k=4)
+    # the tuple records equal, and unpack like, the tuples of their fields
+    n, k = p
+    assert (n, k) == p == (2, 3)
+    cocharacter = stabilizer_cocharacter(p)
+    assert cocharacter == ((0, 3), -3, 2)
+    assert repr(cocharacter) == (
+        "StabilizerCocharacter(diag_exponents=(0, 3), flavor_exponent=-3, rot_exponent=2)"
+    )
+    with pytest.raises(AttributeError):
+        cocharacter.rot_exponent = 3
+    report = VerificationReport("claim", p, 4, {"degrees": [0, 4]})
+    assert report == VerificationReport("claim", Params(2, 3), 4, {"degrees": [0, 4]})
+    assert report != report._replace(witness={"degree": 0})
+    assert repr(report) == (
+        "VerificationReport(claim='claim', params=Params(n=2, k=3), "
+        "max_degree=4, details={'degrees': [0, 4]}, witness=None)"
+    )
+    assert copy.copy(report) == pickle.loads(pickle.dumps(report)) == report
+    for attr in ("claim", "witness", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(report, attr, None)

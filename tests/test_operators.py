@@ -245,6 +245,21 @@ def test_minuscule_coweight_validation():
         Truncation(Params(2, 3), 4).monopole(1, 0)
 
 
+def test_monopole_refuses_the_sign_and_r_it_was_given():
+    # the refusal names the sign and r the caller gave, not the length of a
+    # coweight built from them
+    run = Truncation(Params(3, 4), 4)
+    for sign, r in ((1, 4), (-1, 4), (1, 0), (2, 1), (0, 2)):
+        message = (
+            "a monopole needs sign 1 or -1 and 1 <= r <= n, "
+            f"got sign = {sign}, r = {r}, n = 3"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+            run.monopole(sign, r)
+        assert not isinstance(caught.value, DimensionError)
+    assert run.monopole(-1, 3).shift == -3
+
+
 def test_orbit_enumeration():
     orbit = minuscule_orbit((1, 1, 0))
     vectors = [lam for lam, *_ in orbit]
