@@ -58,9 +58,9 @@ from .linalg import RatMat
 class DressPolynomial:
     """Exact polynomial in the weight components phi_0..phi_{n-1}.
 
-    Terms map exponent tuples to rational coefficients.  The scalar
-    parameters (m and hbar) are numbers at operator-build time, so they live
-    inside the coefficients.
+    Terms map exponent tuples, of nvars nonnegative ints, to rational
+    coefficients.  The scalar parameters (m and hbar) are numbers at
+    operator-build time, so they live inside the coefficients.
     """
 
     __slots__ = ("nvars", "terms")
@@ -73,6 +73,8 @@ class DressPolynomial:
                 expo = tuple(expo)
                 if len(expo) != nvars:
                     raise DimensionError("exponent tuple has wrong length")
+                if not all(isinstance(e, int) and e >= 0 for e in expo):
+                    raise ValueError(f"exponent tuple {expo} is not of nonnegative integers")
                 coeff = Fraction(coeff)
                 if coeff != 0:
                     self.terms[expo] = self.terms.get(expo, Fraction(0)) + coeff

@@ -14,6 +14,7 @@ kernel vectors per degree, ``finite_part_character`` a coefficient list, and
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .core import Params, build_graded_basis, stabilizer_cocharacter
@@ -69,25 +70,23 @@ class Truncation:
     ``fixed-points`` command read the graded basis and the named operators
     from here, and nowhere else builds them (``operator --op monopole``, the
     raw coweight route, calls ``minuscule_monopole`` on ``basis`` itself).
-    The basis and each operator are built on first use and then shared.  Monopoles are keyed by their
-    coweight vector and dressing, so Y and F_1 are one matrix.  Nothing
-    mutates a shared operator: composition, sums and scaling all return new
-    ones.
+    The basis and each operator are built on first use and then shared:
+    ``basis``, ``f`` and ``h`` are cached properties, and monopoles are
+    cached in ``_operators`` by their coweight vector and dressing, so Y and
+    F_1 are one matrix.  Nothing mutates a shared operator: composition,
+    sums and scaling all return new ones.
     """
 
     def __init__(self, params, max_degree):
         self.params = params
         self.max_degree = max_degree
-        self._basis = None
         self._operators = {}
 
-    @property
+    @cached_property
     def basis(self):
-        if self._basis is None:
-            if self.max_degree is None:
-                raise TruncationError("a truncation with no max_degree has no basis")
-            self._basis = build_graded_basis(self.params, self.max_degree)
-        return self._basis
+        if self.max_degree is None:
+            raise TruncationError("a truncation with no max_degree has no basis")
+        return build_graded_basis(self.params, self.max_degree)
 
     @property
     def ell(self):
@@ -138,31 +137,29 @@ class Truncation:
         self.params.require_rank_two()
         return self.monopole(1, 2)
 
-    @property
+    @cached_property
     def f(self):
         """Rank-two lowering generator F = -F_2, stored block by block."""
         self.params.require_rank_two()
-        if "F" not in self._operators:
-            f2 = self.monopole(-1, 2)
-            self._operators["F"] = GradedOperator(
-                self.basis, f2.shift, {d: b.scaled(-1) for d, b in f2.blocks.items()}
-            )
-        return self._operators["F"]
+        f2 = self.monopole(-1, 2)
+        return GradedOperator(
+            self.basis, f2.shift, {d: b.scaled(-1) for d, b in f2.blocks.items()}
+        )
 
-    @property
+    @cached_property
     def h(self):
         """Rank-two Cartan generator H."""
-        if "H" not in self._operators:
-            self._operators["H"] = operator_h(self.basis)
-        return self._operators["H"]
+        return operator_h(self.basis)
 
 
 def first_mismatch(actual, expected, degrees=None):
     """First differing matrix entry of two operators, or None.
 
-    Both operators must have the same shift; comparison runs over the given
-    source degrees (default: the common domain).
+    Both operators must live on one graded basis and have the same shift,
+    or DimensionError is raised; comparison runs over the given source
+    degrees (default: the common domain).
     """
+    actual._check_basis(expected)
     if actual.shift != expected.shift:
         raise DimensionError(
             f"comparing operators of different shifts "

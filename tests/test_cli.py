@@ -312,8 +312,7 @@ def test_verify_all_skips_suites_below_their_least_degree(capsys):
 
 
 def test_verify_all_7_8_10_skips_kernel_y(capsys):
-    # the stabilization degree of (7, 8) is 49: kernel-y is skipped up front;
-    # CI runs the same check at D = 24
+    # the stabilization degree of (7, 8) is 49: kernel-y is skipped up front
     code, payload, err = _verify_payload(capsys, "all", 7, 8, 10)
     assert code == 0, err
     assert payload["results"]["skipped_suites"] == ["sl2", "kernel-y", "appendix-b"]
@@ -344,6 +343,42 @@ def test_cli_import_loads_no_dataclasses_inspect_or_csv():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_module_entry_point_propagates_the_exit_code():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["verify", "--suite", "kernel-y", "--n", "4", "--k", "5", "-D", "8"]
+    result = subprocess.run(
+        [sys.executable, "-m", "springer_rca.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert result.returncode == 4, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: under-truncation: ")
+
+
+# command lines that no other test runs, each of which must pass
+SMOKE_RUNS = [
+    "verify --suite all --n 2 --k 1 --max-degree 6",
+    "verify --suite singular --n 6 --k 7 --max-degree 36",
+    "verify --suite oracle --n 7 --k 8 --max-degree 24",
+    "verify --suite oracle --n 6 --k 11 --max-degree 56",
+    "operator --op F --n 2 --k 5 --max-degree 8",
+    "operator --op H --n 2 --k 5 --max-degree 8",
+    "operator --op Fr --r 2 --dress e1 --n 3 --k 4 --max-degree 6",
+    "operator --op Er --r 2 --dress e2 --n 4 --k 5 --max-degree 12",
+    "operator --op monopole --coweight=-1,-1,0 --n 3 --k 4 --max-degree 8",
+    "fixed-points --n 3 --k 4 --max-degree 10",
+]
+
+
+@pytest.mark.parametrize("line", SMOKE_RUNS)
+def test_smoke_run_exits_0(capsys, line):
+    code, out, err = run_cli(capsys, *line.split())
+    assert code == 0, err
+    assert json.loads(out)["command"] == line.split()[0]
 
 
 def test_verify_all_builds_basis_and_each_operator_once(capsys, monkeypatch):

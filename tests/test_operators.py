@@ -569,6 +569,14 @@ def test_dress_polynomial_basics():
     assert phi2.permuted((0, 2, 1)) == variable(3, 2)
 
 
+@pytest.mark.parametrize("expo", [(-1, -1), (0.5, 0.5), (2, -1), (1, 1.0)])
+def test_dress_polynomial_refuses_exponents_that_are_not_nonnegative_ints(expo):
+    # such a dressing would otherwise crash deep in the monopole assembly
+    message = f"exponent tuple {expo} is not of nonnegative integers"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DressPolynomial(2, {expo: 1})
+
+
 def test_dressing_invariance_enforced():
     basis = build_graded_basis(Params(3, 4), 4)
     bad = variable(3, 1)  # not fixed by the stabilizer of (1,0,0)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from springer_rca import (
+    DimensionError,
     InvariantError,
     Params,
     SpringerRcaError,
@@ -370,6 +371,22 @@ def test_count_lists_of_different_lengths_exit_5(monkeypatch, capsys, change, le
     )
 
 
+def test_wrong_ideal_count_exits_1(monkeypatch, capsys):
+    count_ideals = semigroup.count_ideals
+
+    def bumped(n, k, m):
+        counts = count_ideals(n, k, m)
+        counts[3] += 1
+        return counts
+
+    monkeypatch.setattr(semigroup, "count_ideals", bumped)
+    code = main(["verify", "--suite", "oracle", "--n", "3", "--k", "4", "-D", "8"])
+    [report] = json.loads(capsys.readouterr().out)["results"]["suites"]
+    assert code == 1
+    assert list(report["witness"]) == ["degree", "ideal_count", "fixed_point_count"]
+    assert report["witness"]["degree"] == 3
+
+
 @pytest.mark.parametrize("n,k", [(2, 3), (3, 4), (1, 4)])
 def test_stabilizer(n, k):
     assert verify_stabilizer(Params(n, k)).passed
@@ -496,7 +513,7 @@ def test_every_guard_refuses_before_any_work(nk, D):
             assert info.value.required_degree == least, name
         else:
             continue
-        assert run._basis is None, name
+        assert "basis" not in vars(run), name
 
 
 # the truncation of the stabilizer suite: no max_degree
@@ -520,7 +537,15 @@ def test_suites_without_max_degree_raise_package_errors(name):
     with pytest.raises(SpringerRcaError) as info:
         run_suite(name, run)
     assert type(info.value) is NO_DEGREE_ERRORS[name]
-    assert run._basis is None
+    assert "basis" not in vars(run)
+
+
+def test_first_mismatch_refuses_operators_on_different_bases():
+    # both are X, of shift 1, so only the bases tell them apart
+    a = Truncation(Params(2, 3), 4).x
+    b = Truncation(Params(3, 4), 4).x
+    with pytest.raises(DimensionError, match="^operators live on different graded bases$"):
+        first_mismatch(a, b)
 
 
 def test_report_status_follows_witness():
@@ -878,32 +903,15 @@ def test_truncation_builds_f_once():
     assert run.f is run.f
 
 
-def _run_python(code, *flags):
+def _run_python(code):
     """Run ``code`` in a fresh interpreter with ``src`` on the path."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, *flags, "-c", code],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env=env, timeout=60,
     )
-
-
-def test_verified_nullspace_check_survives_optimize_flag():
-    code = (
-        "from fractions import Fraction\n"
-        "from springer_rca import InvariantError\n"
-        "from springer_rca.linalg import RatMat\n"
-        "from springer_rca.verify import _verified_nullspace\n"
-        "RatMat.nullspace = lambda self: [[Fraction(1)] * self.ncols]\n"
-        "try:\n"
-        "    _verified_nullspace([RatMat(1, 2, {(0, 0): Fraction(1)})], 2)\n"
-        "except InvariantError:\n"
-        "    print('raised')\n"
-    )
-    result = _run_python(code, "-O")
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "raised"
 
 
 def _nonvanishing_factors(weights, k):
@@ -938,34 +946,11 @@ def test_boundary_vanishing_violation_exits_5(monkeypatch, capsys):
     assert captured.err.startswith("error: invariant violated: ")
 
 
-def test_boundary_vanishing_check_survives_optimize_flag():
-    code = (
-        "from springer_rca import InvariantError, Params, build_graded_basis\n"
-        "from springer_rca import operators\n"
-        "operators.gap_table = lambda weights, k: ([1] * 4, [1] * 6)\n"
-        "try:\n"
-        "    operators.minuscule_monopole(build_graded_basis(Params(2, 3), 4), (1, 0))\n"
-        "except InvariantError:\n"
-        "    print('raised')\n"
-    )
-    result = _run_python(code, "-O")
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "raised"
-
-
-def test_zero_denominator_check_survives_optimize_flag():
-    code = (
-        "from springer_rca import InvariantError, Params, build_graded_basis\n"
-        "from springer_rca import operators\n"
-        "operators.gap_table = lambda weights, k: ([0] * 4, [0] * 6)\n"
-        "try:\n"
-        "    operators.minuscule_monopole(build_graded_basis(Params(2, 3), 4), (1, 0))\n"
-        "except InvariantError as exc:\n"
-        "    print(exc)\n"
-    )
-    result = _run_python(code, "-O")
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("zero denominator for ")
+def test_zero_denominator_raises(monkeypatch):
+    monkeypatch.setattr(operators, "gap_table", lambda weights, k: ([0] * 4, [0] * 6))
+    basis = build_graded_basis(Params(2, 3), 4)
+    with pytest.raises(InvariantError, match=r"^zero denominator for "):
+        minuscule_monopole(basis, (1, 0))
 
 
 def _never_stable(gaps, semigroup):
@@ -984,26 +969,7 @@ def test_unstable_gap_set_exits_5(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 5
     assert captured.out == ""
-    assert captured.err.startswith("error: invariant violated: ")
-
-
-def test_stability_check_survives_optimize_flag():
-    code = (
-        "import sys\n"
-        "from springer_rca import InvariantError, count_ideals, semigroup\n"
-        "from springer_rca.cli import main\n"
-        "semigroup.is_stable = lambda gaps, semigroup: False\n"
-        "try:\n"
-        "    count_ideals(2, 3, 2)\n"
-        "except InvariantError:\n"
-        "    print('raised')\n"
-        "sys.exit(main(['verify', '--suite', 'oracle', '--n', '3', '--k', '4',\n"
-        "               '--max-degree', '6']))\n"
-    )
-    result = _run_python(code, "-O")
-    assert result.returncode == 5, result.stderr
-    assert result.stdout.strip() == "raised"
-    assert "is not stable" in result.stderr
+    assert captured.err == "error: invariant violated: gap set [] of <3, 4> is not stable\n"
 
 
 def test_verify_all_runs_without_sympy():
