@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (all checks pass), 1 a suite failed, 2 usage error,
 3 unsupported parameters, 4 under-truncation (the minimal sufficient degree
-is printed), 5 an internal invariant was violated.
+is printed), 5 an internal error, such as a violated invariant.
 Output is deterministic for a given configuration; rationals are emitted in
 lowest terms as strings.
 """
@@ -15,12 +15,7 @@ import sys
 
 from . import __version__
 from .core import Params
-from .errors import (
-    InvariantError,
-    SpringerRcaError,
-    UnderTruncationError,
-    UnsupportedParametersError,
-)
+from .errors import SpringerRcaError, UnderTruncationError, UnsupportedParametersError
 from .operators import DressPolynomial, commutator, minuscule_monopole
 from .verify import SUITES, Truncation, applicable_suites, run_suite
 
@@ -30,8 +25,16 @@ EXIT_UNSUPPORTED = 3
 EXIT_UNDER_TRUNCATION = 4
 EXIT_INVARIANT = 5
 
-OPERATOR_NAMES = ("X", "Y", "E", "F", "H", "Er", "Fr", "monopole", "commutator-XY")
-DRESS_NAMES = ("1", "e1", "e2")
+# each --op and the options it takes besides --n, --k and --max-degree
+OPERATORS = {
+    "X": (), "Y": (), "E": (), "F": (), "H": (),
+    "Er": ("r", "dress"), "Fr": ("r", "dress"),
+    "monopole": ("coweight", "dress"),
+    "commutator-XY": (),
+}
+# each --dress and the degree of its elementary symmetric polynomial;
+# e_0 = 1 is no dressing
+DRESSINGS = {"1": 0, "e1": 1, "e2": 2}
 
 
 class UsageError(Exception):
@@ -68,10 +71,10 @@ def _build_parser():
 
     p_op = sub.add_parser("operator", help="serialize an operator's matrix blocks")
     common(p_op)
-    p_op.add_argument("--op", choices=OPERATOR_NAMES, default=None, help="operator name")
+    p_op.add_argument("--op", choices=OPERATORS, default=None, help="operator name")
     p_op.add_argument("--r", type=int, default=None, help="coweight size for Er/Fr")
     p_op.add_argument(
-        "--dress", choices=DRESS_NAMES, default=None,
+        "--dress", choices=DRESSINGS, default=None,
         help="dressing polynomial for Er/Fr/monopole (default 1)",
     )
     p_op.add_argument(
@@ -88,16 +91,20 @@ def _build_parser():
 
 
 def _load_config(path):
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = list(handle)
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: config file is not UTF-8 text: {exc}") from None
     values = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = value
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        values[key.replace("-", "_")] = value
     return values
 
 
@@ -215,40 +222,35 @@ def cmd_fixed_points(args):
     return EXIT_OK
 
 
-def _dress_polynomial(name, n):
-    if name in (None, "1"):
-        return None
-    return DressPolynomial.elementary(n, {"e1": 1, "e2": 2}[name])
-
-
 def _build_operator(args, run):
     """The operator named by ``--op``, read from ``run``'s operators."""
     n = run.params.n
     name = args.op
-    if args.dress not in (None, "1") and name not in ("Er", "Fr", "monopole"):
-        raise UsageError(f"operator {name} does not take a dressing")
-    dress = _dress_polynomial(args.dress, n)
-    if name in ("Er", "Fr"):
-        _require(args, "r")
-        if not 1 <= args.r <= n:
-            raise UsageError(f"--r must lie in [1, {n}]")
-        return run.monopole(1 if name == "Er" else -1, args.r, dress)
-    if name == "monopole":
-        # the raw coweight route: the dressing is evaluated at phi as given
-        if args.coweight is None:
-            raise UsageError("--op monopole requires --coweight")
-        try:
-            vector = tuple(int(x) for x in args.coweight.split(","))
-        except ValueError:
-            raise UsageError(f"cannot parse coweight {args.coweight!r}")
-        if len(vector) != n:
-            raise UsageError(f"coweight must have length n = {n}")
-        try:
+    degree = DRESSINGS[args.dress or "1"]
+    dress = DressPolynomial.elementary(n, degree) if degree else None
+    for option, value in (("r", args.r), ("coweight", args.coweight), ("dress", dress)):
+        if value is not None and option not in OPERATORS[name]:
+            what = "a dressing" if option == "dress" else f"--{option}"
+            raise UsageError(f"operator {name} does not take {what}")
+    try:
+        if name in ("Er", "Fr"):
+            _require(args, "r")
+            return run.monopole(1 if name == "Er" else -1, args.r, dress)
+        if name == "monopole":
+            # the raw coweight route: the dressing is evaluated at phi as given
+            _require(args, "coweight")
+            try:
+                vector = tuple(int(x) for x in args.coweight.split(","))
+            except ValueError:
+                raise UsageError(f"cannot parse coweight {args.coweight!r}")
+            if len(vector) != n:
+                raise UsageError(f"coweight must have length n = {n}")
             return minuscule_monopole(run.basis, vector, dress)
-        except ValueError as exc:
-            if isinstance(exc, SpringerRcaError):
-                raise
-            raise UsageError(str(exc))
+    except ValueError as exc:
+        # the monopole's own refusal of --r or of the charge
+        if isinstance(exc, SpringerRcaError):
+            raise
+        raise UsageError(str(exc))
     if name == "commutator-XY":
         return commutator(run.x, run.y)
     return getattr(run, name.lower())  # X, Y, E, F or H
@@ -349,7 +351,7 @@ def main(argv=None):
     except UnsupportedParametersError as exc:
         print(f"error: unsupported parameters: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except InvariantError as exc:
+    except SpringerRcaError as exc:
         print(f"error: invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

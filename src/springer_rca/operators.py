@@ -81,24 +81,15 @@ class DressPolynomial:
         self.terms = {e: c for e, c in self.terms.items() if c != 0}
 
     @classmethod
-    def constant(cls, nvars, value):
-        return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def one(cls, nvars):
-        return cls.constant(nvars, 1)
-
-    @classmethod
-    def elementary(cls, nvars, degree, indices=None):
-        """Elementary symmetric polynomial e_degree of the chosen variables."""
-        indices = tuple(range(nvars)) if indices is None else tuple(indices)
-        terms = {}
-        for subset in combinations(indices, degree):
-            expo = [0] * nvars
-            for i in subset:
-                expo[i] = 1
-            terms[tuple(expo)] = 1
-        return cls(nvars, terms)
+    def elementary(cls, nvars, degree):
+        """Elementary symmetric polynomial e_degree of the nvars variables."""
+        return cls(
+            nvars,
+            {
+                tuple(int(i in subset) for i in range(nvars)): 1
+                for subset in combinations(range(nvars), degree)
+            },
+        )
 
     def integer_form(self, scale):
         """The polynomial at x / scale as integer terms over one denominator.
@@ -118,17 +109,6 @@ class DressPolynomial:
             )
         return terms, denominator
 
-    def permuted(self, perm):
-        """Polynomial g with g(x_0,...,x_{n-1}) = f(x_{perm[0]},...,x_{perm[n-1]})."""
-        out = {}
-        for expo, coeff in self.terms.items():
-            new = [0] * self.nvars
-            for slot, e in enumerate(expo):
-                new[perm[slot]] += e
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return DressPolynomial(self.nvars, out)
-
     def shift_all(self, c):
         """Substitute x_a -> x_a - c in every variable."""
         c = Fraction(c)
@@ -145,9 +125,6 @@ class DressPolynomial:
                     shifted[key] = shifted.get(key, Fraction(0)) + contrib
             terms = {k: v for k, v in shifted.items() if v != 0}
         return DressPolynomial(self.nvars, terms)
-
-    def is_invariant(self, perms):
-        return all(self.permuted(p) == self for p in perms)
 
     def __eq__(self, other):
         if not isinstance(other, DressPolynomial):
@@ -387,13 +364,14 @@ def minuscule_monopole(basis, coweight, dress=None):
     """Matrix of the dressed minuscule monopole operator on the truncation.
 
     ``coweight`` is a vector of length n (see ``minuscule_orbit``).  The
-    dressing must be invariant under the stabilizer S_r x S_{n-r} of the
-    sorted charge; each orbit term evaluates it at the target weights
-    through the orbit representative.  Each orbit term's N is read from
-    the source's gap table; a term with N = 0 vanishes identically and is
-    dropped, and every other term goes to ``GradedOperator.assemble``, which
-    refuses it if its target leaves the moduli, even where the dressing
-    vanishes.  Weight separation is checked once per source label.
+    dressing, None for f = 1, must be invariant under the stabilizer
+    S_r x S_{n-r} of the sorted charge; each orbit term evaluates it at the
+    target weights through the orbit representative.  Each orbit term's N
+    is read from the source's gap table; a term with N = 0 vanishes
+    identically and is dropped, and every other term goes to
+    ``GradedOperator.assemble``, which refuses it if its target leaves the
+    moduli, even where the dressing vanishes.  Weight separation is checked
+    once per source label.
     """
     n, k = basis.params.n, basis.params.k
     table = minuscule_orbit(coweight)
@@ -401,23 +379,24 @@ def minuscule_monopole(basis, coweight, dress=None):
     lam = table[0][0]
     if len(lam) != n:
         raise DimensionError(f"coweight has length {len(lam)}, expected {n}")
-    if dress is None:
-        dress = DressPolynomial.one(n)
-    if dress.nvars != n:
-        raise DimensionError("dressing polynomial has the wrong variable count")
     shift = sum(lam)
-    # the adjacent transpositions that generate S_r x S_{n-r}, r = |shift|
-    stabilizer = [
-        (*range(i), i + 1, i, *range(i + 2, n))
-        for i in range(n - 1)
-        if i != abs(shift) - 1
-    ]
-    if not dress.is_invariant(stabilizer):
-        raise ValueError(
-            "dressing polynomial is not invariant under the coweight stabilizer"
-        )
-    # f(phi) = f(P / n): integer terms over dress_scale, read through rep
-    dress_terms, dress_scale = dress.integer_form(n)
+    if dress is None:
+        dress_terms, dress_scale = [(1, ())], 1
+    else:
+        if dress.nvars != n:
+            raise DimensionError("dressing polynomial has the wrong variable count")
+        # the swaps of i, i + 1 with i != r - 1 generate S_r x S_{n-r},
+        # r = |shift|; each must map every term to one of equal coefficient
+        for i in range(n - 1):
+            if i != abs(shift) - 1 and any(
+                dress.terms.get((*e[:i], e[i + 1], e[i], *e[i + 2 :])) != c
+                for e, c in dress.terms.items()
+            ):
+                raise ValueError(
+                    "dressing polynomial is not invariant under the coweight stabilizer"
+                )
+        # f(phi) = f(P / n): integer terms over dress_scale, read through rep
+        dress_terms, dress_scale = dress.integer_form(n)
     # flat indices into the gap_table rows: N reads its pairs and then its
     # slots, D its pairs alone
     orbit = []

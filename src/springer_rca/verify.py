@@ -256,7 +256,7 @@ def _rank_two_relations(run):
         + h @ w_zero
         + identity_operator(basis, scale=m * (m - 1))
     )
-    yield "C2 = 2(E W- + F W+) + H W0 + m(m-1)", first_mismatch(diagonal, cubic)
+    yield "C2 = 2(E W- + F W+) + H W0 + m(m-1)", first_mismatch(cubic, diagonal)
 
 
 def _check_sl2_and_casimir(run):

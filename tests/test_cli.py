@@ -13,6 +13,7 @@ import pytest
 
 from springer_rca import Params, cli, verify
 from springer_rca.cli import main
+from springer_rca.errors import DimensionError, TruncationError
 from springer_rca.linalg import RatMat
 from springer_rca.verify import stabilization_degree
 
@@ -152,21 +153,43 @@ def test_operator_monopole_coweight(capsys):
     assert json.loads(out)["results"]["blocks"] == json.loads(x_out)["results"]["blocks"]
 
 
-def test_operator_usage_errors(capsys):
-    code, _, err = run_cli(
-        capsys, "operator", "--op", "Er", "--n", "2", "--k", "3", "--max-degree", "2"
-    )
-    assert code == 2 and "--r" in err
-    code, _, err = run_cli(
-        capsys, "operator", "--op", "monopole", "--coweight", "1,-1",
-        "--n", "2", "--k", "3", "--max-degree", "2",
+# each row: the operator argv at (n, k, D) = (2, 3, 2), and a word of its error
+OPERATOR_USAGE_ERRORS = {
+    "Er without --r": (["--op", "Er"], "--r"),
+    "--r 0": (["--op", "Er", "--r", "0"], "r = 0"),
+    "--r 3 at n = 2": (["--op", "Fr", "--r", "3"], "r = 3"),
+    "X with --r": (["--op", "X", "--r", "1"], "--r"),
+    "Er with --coweight": (["--op", "Er", "--r", "1", "--coweight", "1,0"], "--coweight"),
+    "monopole with --r": (["--op", "monopole", "--coweight", "1,0", "--r", "1"], "--r"),
+    "X with a dressing": (["--op", "X", "--dress", "e1"], "dressing"),
+    "monopole without --coweight": (["--op", "monopole"], "--coweight"),
+    "unparsable coweight": (["--op", "monopole", "--coweight=,"], "coweight"),
+    "coweight of length 3": (["--op", "monopole", "--coweight", "1,0,0"], "length"),
+    "non-minuscule coweight": (["--op", "monopole", "--coweight", "1,-1"], "minuscule"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv,word", OPERATOR_USAGE_ERRORS.values(), ids=OPERATOR_USAGE_ERRORS.keys()
+)
+def test_operator_usage_error_exits_2(capsys, argv, word):
+    code, out, err = run_cli(
+        capsys, "operator", *argv, "--n", "2", "--k", "3", "--max-degree", "2"
     )
     assert code == 2
-    code, _, err = run_cli(
-        capsys, "operator", "--op", "X", "--dress", "e1",
-        "--n", "2", "--k", "3", "--max-degree", "2",
-    )
-    assert code == 2 and "dressing" in err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and word in err
+
+
+@pytest.mark.parametrize("op", cli.OPERATORS)
+def test_dress_1_is_no_dressing_for_every_operator(capsys, op):
+    argv = ["operator", "--op", op, "--n", "2", "--k", "3", "--max-degree", "2"]
+    needed = {"Er": ["--r", "1"], "Fr": ["--r", "2"], "monopole": ["--coweight", "0,1"]}
+    argv += needed.get(op, [])
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0
+    assert run_cli(capsys, *argv, "--dress", "1") == plain
 
 
 def test_bad_operator_name_exits_2(capsys):
@@ -484,6 +507,22 @@ def test_verify_invariant_violation_exits_5(capsys, monkeypatch):
     assert err.startswith("error: invariant violated: ")
 
 
+@pytest.mark.parametrize(
+    "error", [TruncationError("planted"), DimensionError("planted")], ids=type
+)
+def test_every_package_error_exits_5(capsys, monkeypatch, error):
+    def planted(run):
+        raise error
+
+    monkeypatch.setattr(verify, "_check_weyl_relation", planted)
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "weyl", "--n", "2", "--k", "3", "--max-degree", "4"
+    )
+    assert code == 5
+    assert out == ""
+    assert err == "error: invariant violated: planted\n"
+
+
 BAD_INPUTS = {
     "verify negative degree": (
         ["verify", "--suite", "weyl", "--n", "2", "--k", "3", "--max-degree", "-1"], None,
@@ -520,6 +559,10 @@ BAD_INPUTS = {
     "bad config value under a flag": (
         ["fixed-points", "--n", "2", "--k", "3", "--max-degree", "1"], "n = two\n",
     ),
+    "config file that is not UTF-8": (
+        ["fixed-points", "--n", "2", "--k", "3", "--max-degree", "2"],
+        "max_degree = 2\n".encode("utf-16"),
+    ),
     "output into a missing directory": (
         [
             "fixed-points", "--n", "2", "--k", "3", "--max-degree", "1",
@@ -534,7 +577,10 @@ BAD_INPUTS = {
 def test_bad_input_exits_2(argv, config, tmp_path, capsys):
     if config:
         path = tmp_path / "run.cfg"
-        path.write_text(config)
+        if isinstance(config, bytes):
+            path.write_bytes(config)
+        else:
+            path.write_text(config)
         argv = argv + ["--config", str(path)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

@@ -172,7 +172,7 @@ def sca_denominator(lam, phis):
 def reference_monopole(basis, coweight, dress=None):
     """Operator entries {(d, i, j): value} assembled over Fraction."""
     p = basis.params
-    dress = DressPolynomial.one(p.n) if dress is None else dress
+    dress = DressPolynomial(p.n, {(0,) * p.n: 1}) if dress is None else dress
     shift = sum(coweight)
     out = {}
     for d in range(basis.max_degree - max(0, shift) + 1):
@@ -370,7 +370,9 @@ def test_boundary_vanishing(n, k, max_degree):
 
 def _dressings(n, r):
     """Stabilizer-invariant dressings: 1, e1, e2 and a slot-reading rational one."""
-    shifted = DressPolynomial.elementary(n, 1, range(r)).shift_all(Fraction(1, 2))
+    # e_1 of the slots 0..r-1 that read the charge's nonzero positions
+    first = DressPolynomial(n, {tuple(int(i == a) for i in range(n)): 1 for a in range(r)})
+    shifted = first.shift_all(Fraction(1, 2))
     return [
         None,
         DressPolynomial.elementary(n, 1),
@@ -399,7 +401,7 @@ def test_integer_kernel_matches_fraction_reference(data):
         assert numerator == 0
         assert sca_numerator(lam, phis, p.m) == 0
         return
-    dress = DressPolynomial.one(n) if dress is None else dress
+    dress = DressPolynomial(n, {(0,) * n: 1}) if dress is None else dress
     terms, dress_scale = dress.integer_form(n)
     dressing = sum(c * prod(weights[rep[i]] for i in dslots) for c, dslots in terms)
     expected = (
@@ -563,10 +565,6 @@ def test_dress_polynomial_basics():
     assert evaluate(e2, (1, 2, 3)) == 11
     shifted = e1.shift_all(1)
     assert evaluate(shifted, (1, 2, 3)) == 3
-    swap = (1, 0, 2)
-    assert e2.permuted(swap) == e2
-    phi2 = variable(3, 1)
-    assert phi2.permuted((0, 2, 1)) == variable(3, 2)
 
 
 @pytest.mark.parametrize("expo", [(-1, -1), (0.5, 0.5), (2, -1), (1, 1.0)])
@@ -584,6 +582,41 @@ def test_dressing_invariance_enforced():
         minuscule_monopole(basis, (1, 0, 0), bad)
     good = variable(3, 0)
     minuscule_monopole(basis, (1, 0, 0), good)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_monopole_refuses_exactly_the_dressings_its_stabilizer_moves(data):
+    n, k = data.draw(st.sampled_from([(n, k) for n, k in COPRIME_PAIRS if n <= 4 and k <= 5]))
+    r = data.draw(st.integers(1, n))
+    cw = tuple(data.draw(st.permutations(charge(data.draw(st.sampled_from((1, -1))), r, n))))
+    terms = data.draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * n), st.sampled_from((-2, -1, 1, 2)), max_size=4
+        )
+    )
+    # S_r x S_{n-r}: the permutations that keep the slots 0..r-1 among themselves
+    stabilizer = [s for s in permutations(range(n)) if set(s[:r]) == set(range(r))]
+    if data.draw(st.booleans()):
+        # the sum over the stabilizer, so that invariant dressings are drawn often
+        summed = {}
+        for e, c in terms.items():
+            for s in stabilizer:
+                key = tuple(e[i] for i in s)
+                summed[key] = summed.get(key, 0) + c
+        terms = summed
+    dress = DressPolynomial(n, terms)
+    invariant = all(
+        DressPolynomial(n, {tuple(e[i] for i in s): c for e, c in dress.terms.items()}) == dress
+        for s in stabilizer
+    )
+    basis = build_graded_basis(Params(n, k), 2)
+    if invariant:
+        assert minuscule_monopole(basis, cw, dress).shift == sum(cw)
+    else:
+        message = "dressing polynomial is not invariant under the coweight stabilizer"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            minuscule_monopole(basis, cw, dress)
 
 
 def test_dressed_full_rank_operators():

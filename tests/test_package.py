@@ -1,13 +1,19 @@
-"""Package-wide contracts: interpreter flags change nothing, and the README runs."""
+"""Package-wide contracts: interpreter flags change nothing, the README runs,
+and the traced benchmark sees every layer it needs."""
 
 import ast
 import doctest
+import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "springer_rca")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def optimize_sensitive(source):
@@ -65,3 +71,34 @@ def test_readme_examples_hold():
     )
     assert result.attempted > 0
     assert result.failed == 0
+
+
+# two runs that between them reach every span any benchmark workload requires
+TRACED_RUNS = [
+    "verify --suite all --n 2 --k 5 --max-degree 8",
+    "operator --op monopole --coweight 1,1,0 --dress e2 --n 3 --k 4 --max-degree 6",
+]
+
+
+def test_traced_runs_record_every_required_span(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(PERFBENCH, "workloads.py")
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    src = os.path.join(ROOT, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    recorded = set()
+    for index, line in enumerate(TRACED_RUNS):
+        trace = tmp_path / f"trace{index}.json"
+        result = subprocess.run(
+            [sys.executable, os.path.join(PERFBENCH, "trace_cli.py"), str(trace), *line.split()],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        data = json.loads(trace.read_text())
+        recorded |= {data["names"][span[0]] for span in data["spans"]}
+    required = {
+        name for workload in workloads.WORKLOADS.values() for name in workload.required_spans
+    }
+    assert sorted(required - recorded) == []

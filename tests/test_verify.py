@@ -695,10 +695,10 @@ def test_failing_cubic_relation_keeps_its_witness(monkeypatch):
     _shifted_identity(monkeypatch)
     report = run_suite("sl2", Truncation(Params(2, 5), 12))
     assert report.witness == {
-        "actual": "21/4",
+        "actual": "25/4",
         "col": 0,
         "degree": 0,
-        "expected": "25/4",
+        "expected": "21/4",
         "relation": "C2 = 2(E W- + F W+) + H W0 + m(m-1)",
         "row": 0,
         "source_label": [0, 0],
