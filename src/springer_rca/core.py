@@ -97,6 +97,7 @@ def enumerate_fixed_points(params: Params, d: int) -> list:
     def extend(prefix, remaining):
         slot = len(prefix)
         if slot == n - 1:
+            # the prefix is empty only for n = 1, whose one vector is (d,)
             last = remaining
             if last >= (prefix[-1] if prefix else 0) and last - (prefix[0] if prefix else last) <= k:
                 out.append(prefix + (last,))
@@ -108,8 +109,6 @@ def enumerate_fixed_points(params: Params, d: int) -> list:
                 break
             extend(prefix + (value,), remaining - value)
 
-    if n == 1:
-        return [(d,)]
     extend((), d)
     return out
 

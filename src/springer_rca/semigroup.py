@@ -24,7 +24,7 @@ def membership(n, k):
 
     x = a*n + b*k with b < n the least such: b = x / k mod n, and then x is
     a member iff a >= 0, i.e. iff b*k <= x.  The inverse of k mod n is
-    computed here, once, not per test.
+    computed once per call, not per test.
     """
     inverse = pow(k, -1, n)
     return lambda x: x >= 0 and (x * inverse % n) * k <= x
@@ -109,18 +109,15 @@ def compare_with_fixed_points(run):
     """Cross-check semigroup-ideal counts against the fixed-point counts of ``run``.
 
     ``run`` is a ``verify.Truncation``; the fixed points are its basis.
-    Returns a VerificationReport that passes iff the two enumeration routes
+    Returns the run's report, which passes iff the two enumeration routes
     agree for every degree up to the truncation.
     """
-    from .verify import VerificationReport, first_difference
+    from .verify import first_difference
 
-    params = run.params
     counts_points = [run.basis.dim(d) for d in run.basis.degrees()]
-    counts_ideals = count_ideals(params.n, params.k, run.max_degree)
-    return VerificationReport(
+    counts_ideals = count_ideals(run.params.n, run.params.k, run.max_degree)
+    return run.report(
         "semigroup ideal counts match fixed-point counts",
-        params,
-        run.max_degree,
         {"ideal_counts": counts_ideals, "fixed_point_counts": counts_points},
         first_difference(
             counts_ideals, counts_points, "ideal_count", "fixed_point_count"

@@ -74,7 +74,8 @@ class Truncation:
     ``basis``, ``f`` and ``h`` are cached properties, and monopoles are
     cached in ``_operators`` by their coweight vector and dressing, so Y and
     F_1 are one matrix.  Nothing mutates a shared operator: composition,
-    sums and scaling all return new ones.
+    sums and scaling all return new ones.  Every check that reads a run
+    makes its report with ``report``.
     """
 
     def __init__(self, params, max_degree):
@@ -92,6 +93,10 @@ class Truncation:
     def ell(self):
         """The rank-two parameter l with k = 2l + 1."""
         return (self.params.k - 1) // 2
+
+    def report(self, claim, details, witness=None):
+        """The suite report of this run for ``claim``."""
+        return VerificationReport(claim, self.params, self.max_degree, details, witness)
 
     def require_degree(self, required, what):
         """Raise UnderTruncationError unless max_degree >= required."""
@@ -212,10 +217,8 @@ def _check_weyl_relation(run):
     comm = commutator(run.x, run.y)
     expected = identity_operator(run.basis, scale=run.params.n)
     degrees = range(min(run.max_degree - 2, comm.max_source) + 1)
-    return VerificationReport(
+    return run.report(
         "commutator of X and Y is n times the identity",
-        run.params,
-        run.max_degree,
         {"degrees_checked": [degrees.start, degrees.stop - 1]},
         first_mismatch(comm, expected, degrees),
     )
@@ -267,10 +270,8 @@ def _check_sl2_and_casimir(run):
             witness["relation"] = name
             break
         checked.append(name)
-    return VerificationReport(
+    return run.report(
         "rank-two commutation relations, Casimir, and cubic relation",
-        run.params,
-        run.max_degree,
         {"relations_checked": checked},
         witness,
     )
@@ -341,10 +342,8 @@ def _check_singular_vectors(run):
         "expected_dim",
         "actual_dim",
     )
-    return VerificationReport(
+    return run.report(
         "joint kernel of the lowering family is spanned by the vacuum",
-        run.params,
-        run.max_degree,
         {"summary": _kernel_summary(run, "joint kernel of F_r[1], r = 1..n", kernels)},
         witness,
     )
@@ -390,30 +389,28 @@ def finite_part_character(run):
 
 
 def _check_kernel_y(run):
-    """Kernel of Y against the closed dimension count and the finite character."""
+    """Kernel of Y, degree by degree, against the finite character.
+
+    ``finite_part_character`` certifies that the character sums to the
+    compactified Jacobian dimension, so a wrong total of kernel dimensions
+    shows as a first differing degree.
+    """
     kernels = kernel_y(run)
     dims = [len(kernel) for kernel in kernels]
-    expected_total = compactified_jacobian_dim(run.params)
     character = finite_part_character(run)
-    if sum(dims) != expected_total:
-        witness = {"expected_total": expected_total, "actual_total": sum(dims)}
-    else:
-        witness = first_difference(
+    return run.report(
+        "kernel of Y matches the compactified Jacobian cohomology",
+        {
+            "summary": _kernel_summary(run, "Y", kernels),
+            "expected_total": compactified_jacobian_dim(run.params),
+            "character_coefficients": character,
+        },
+        first_difference(
             character + [0] * (len(dims) - len(character)),
             dims,
             "expected_dim",
             "actual_dim",
-        )
-    return VerificationReport(
-        "kernel of Y matches the compactified Jacobian cohomology",
-        run.params,
-        run.max_degree,
-        {
-            "summary": _kernel_summary(run, "Y", kernels),
-            "expected_total": expected_total,
-            "character_coefficients": character,
-        },
-        witness,
+        ),
     )
 
 
@@ -461,10 +458,8 @@ def _check_lowest_weight_decomposition(run):
                 if not eigen:
                     witness["h_image"] = [str(c) for c in image]
                 break
-    return VerificationReport(
+    return run.report(
         "lowest-weight classes are |0, A_2> with weights A_2 + 1 - k/2",
-        run.params,
-        run.max_degree,
         {"count": len(triples), "weights": [str(w) for w, _, _ in triples]},
         witness,
     )
@@ -492,10 +487,8 @@ def _check_closed_forms(run):
             witness["operator"] = name
             break
         compared[name] = min(generic.max_source, closed.max_source)
-    return VerificationReport(
+    return run.report(
         "localization matrices equal the rank-two closed forms",
-        run.params,
-        run.max_degree,
         {"compared": compared},
         witness,
     )
@@ -524,10 +517,8 @@ def _check_y_kernel_vectors(run):
                 }
                 break
             degrees.append(2 * number)
-    return VerificationReport(
+    return run.report(
         "explicit kernel vectors of Y annihilate exactly",
-        run.params,
-        run.max_degree,
         {"count": len(vectors), "degrees": degrees},
         witness,
     )
@@ -576,15 +567,12 @@ def verify_stabilizer(params):
 
 def _check_character_identity(run):
     """Fixed-point counts per degree against the Euler series coefficients."""
-    params = run.params
     counts = [run.basis.dim(d) for d in run.basis.degrees()]
-    return VerificationReport(
+    return run.report(
         "fixed-point counts equal the Euler series coefficients",
-        params,
-        run.max_degree,
         {"counts": counts},
         first_difference(
-            euler_series(params, run.max_degree),
+            euler_series(run.params, run.max_degree),
             counts,
             "series_coefficient",
             "fixed_point_count",
@@ -600,10 +588,8 @@ def _check_appendix_b(run):
         _check_lowest_weight_decomposition(run),
     ]
     failed = [r for r in reports if not r.passed]
-    return VerificationReport(
+    return run.report(
         "rank-two closed forms, kernel vectors, and Verma decomposition",
-        run.params,
-        run.max_degree,
         {"subchecks": [r.to_dict() for r in reports]},
         failed[0].witness if failed else None,
     )

@@ -11,7 +11,7 @@ from math import gcd
 
 import pytest
 
-from springer_rca import Params, cli, verify
+from springer_rca import Params, cli, operators, verify
 from springer_rca.cli import main
 from springer_rca.errors import DimensionError, TruncationError
 from springer_rca.linalg import RatMat
@@ -507,61 +507,124 @@ def test_verify_invariant_violation_exits_5(capsys, monkeypatch):
     assert err.startswith("error: invariant violated: ")
 
 
-@pytest.mark.parametrize(
-    "error", [TruncationError("planted"), DimensionError("planted")], ids=type
-)
-def test_every_package_error_exits_5(capsys, monkeypatch, error):
-    def planted(run):
+def _planted(error):
+    def planted(*args):
         raise error
 
-    monkeypatch.setattr(verify, "_check_weyl_relation", planted)
-    code, out, err = run_cli(
-        capsys, "verify", "--suite", "weyl", "--n", "2", "--k", "3", "--max-degree", "4"
-    )
+    return planted
+
+
+VERIFY_WEYL = ["verify", "--suite", "weyl", "--n", "2", "--k", "3", "--max-degree", "4"]
+OPERATOR_E1 = ["operator", "--op", "Er", "--r", "1", "--n", "2", "--k", "3", "-D", "2"]
+
+
+def _zero_gap_tables(weights, k):
+    n = len(weights)
+    return [0] * n * n, [0] * (n * n + n)
+
+
+# name -> (module, name patched in it, replacement, argv, message).  The
+# monopole build turns a plain ValueError into a usage error but passes a
+# package error on, such as a DimensionError; an InvariantError is no
+# ValueError, so a zero gap table passes it on as well.
+PACKAGE_ERRORS = {
+    "TruncationError": (
+        verify, "_check_weyl_relation", _planted(TruncationError("planted")),
+        VERIFY_WEYL, "planted",
+    ),
+    "DimensionError": (
+        verify, "_check_weyl_relation", _planted(DimensionError("planted")),
+        VERIFY_WEYL, "planted",
+    ),
+    "DimensionError in a monopole build": (
+        operators, "gap_table", _planted(DimensionError("planted")),
+        OPERATOR_E1, "planted",
+    ),
+    "zero gap tables in a monopole build": (
+        operators, "gap_table", _zero_gap_tables,
+        OPERATOR_E1, "zero denominator for (0, 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "module,name,replacement,argv,message",
+    PACKAGE_ERRORS.values(),
+    ids=PACKAGE_ERRORS.keys(),
+)
+def test_every_package_error_exits_5(
+    capsys, monkeypatch, module, name, replacement, argv, message
+):
+    monkeypatch.setattr(module, name, replacement)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 5
     assert out == ""
-    assert err == "error: invariant violated: planted\n"
+    assert err == f"error: invariant violated: {message}\n"
 
 
+NEGATIVE_DEGREE = "--max-degree must be nonnegative"
+NOT_AN_INTEGER = "config key 'n' must be an integer, got 'two'"
+# name -> (argv, config file text or bytes or None, start of the error line
+# after "error: ", with {path} the config file's path)
 BAD_INPUTS = {
     "verify negative degree": (
         ["verify", "--suite", "weyl", "--n", "2", "--k", "3", "--max-degree", "-1"], None,
+        NEGATIVE_DEGREE,
     ),
     "operator negative degree": (
         ["operator", "--op", "X", "--n", "2", "--k", "3", "--max-degree", "-1"], None,
+        NEGATIVE_DEGREE,
     ),
     "fixed-points negative degree": (
         ["fixed-points", "--n", "2", "--k", "3", "--max-degree", "-1"], None,
+        NEGATIVE_DEGREE,
     ),
     "oracle negative degree": (
         ["verify", "--suite", "oracle", "--n", "2", "--k", "3", "--max-degree", "-2"], None,
+        NEGATIVE_DEGREE,
+    ),
+    "non-positive n": (
+        ["fixed-points", "--n", "0", "--k", "3", "-D", "2"], None,
+        "n and k must be positive, got (0, 3)",
     ),
     "non-integer config value": (
-        ["fixed-points", "--k", "3"], "n = two\nmax_degree = 3\n",
+        ["fixed-points", "--k", "3"], "n = two\nmax_degree = 3\n", NOT_AN_INTEGER,
+    ),
+    "config line without =": (
+        ["fixed-points", "--n", "2", "--k", "3", "-D", "2"], "max_degree 2\n",
+        "{path}:1: expected key=value, got 'max_degree 2\\n'",
     ),
     "threads config key": (
         ["verify", "--suite", "weyl", "--n", "2", "--k", "3", "--max-degree", "4"],
         "threads = 2\n",
+        "unknown config key 'threads'",
     ),
     "config suite outside its choices": (
         ["verify", "--n", "2", "--k", "3", "--max-degree", "4"], "suite = bogus\n",
+        "config key 'suite' must be one of weyl, sl2, singular, kernel-y, "
+        "appendix-b, stabilizer, euler, oracle, all, got 'bogus'",
     ),
     "config format outside its choices": (
         ["fixed-points", "--n", "2", "--k", "3", "--max-degree", "2"], "format = xml\n",
+        "config key 'format' must be one of json, csv, got 'xml'",
     ),
     "command config key": (
         ["fixed-points", "--n", "3", "--k", "4", "--max-degree", "1"], "command = verify\n",
+        "unknown config key 'command'",
     ),
     "config key naming a config file": (
         ["fixed-points", "--n", "3", "--k", "4", "--max-degree", "1"],
         "config = /nonexistent\n",
+        "unknown config key 'config'",
     ),
     "bad config value under a flag": (
         ["fixed-points", "--n", "2", "--k", "3", "--max-degree", "1"], "n = two\n",
+        NOT_AN_INTEGER,
     ),
     "config file that is not UTF-8": (
         ["fixed-points", "--n", "2", "--k", "3", "--max-degree", "2"],
         "max_degree = 2\n".encode("utf-16"),
+        "{path}: config file is not UTF-8 text: ",
     ),
     "output into a missing directory": (
         [
@@ -569,14 +632,17 @@ BAD_INPUTS = {
             "--output", os.path.join(os.path.dirname(__file__), "missing", "out.json"),
         ],
         None,
+        "[Errno 2] ",
     ),
 }
 
 
-@pytest.mark.parametrize("argv,config", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exits_2(argv, config, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv,config,message", BAD_INPUTS.values(), ids=BAD_INPUTS.keys()
+)
+def test_bad_input_exits_2(argv, config, message, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
     if config:
-        path = tmp_path / "run.cfg"
         if isinstance(config, bytes):
             path.write_bytes(config)
         else:
@@ -585,7 +651,8 @@ def test_bad_input_exits_2(argv, config, tmp_path, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: " + message.format(path=path))
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def _sha256(text):

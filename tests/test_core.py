@@ -77,7 +77,9 @@ def test_enumerate_rejects_non_coprime():
         build_graded_basis(Params(3, 6), 2)
 
 
-@pytest.mark.parametrize("n,k", [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (1, 7)])
+@pytest.mark.parametrize(
+    "n,k", [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (1, 1), (1, 2), (1, 3), (1, 7)]
+)
 def test_enumerate_matches_brute_force(n, k):
     p = Params(n, k)
     for d in range(7):

@@ -549,6 +549,17 @@ def test_apply_identity_and_truncation():
         x.apply({(2, 2): 1})  # degree 4 exceeds X's source domain
 
 
+def test_block_outside_the_domain_raises():
+    run = Truncation(Params(2, 3), 4)
+    for op in (run.x, run.x @ run.y):
+        for d in (-1, op.max_source + 1):
+            message = (
+                f"operator with shift {op.shift} has no block at source degree {d}"
+            )
+            with pytest.raises(TruncationError, match=f"^{re.escape(message)}$"):
+                op.block(d)
+
+
 def test_basis_mismatch_rejected():
     a = Truncation(Params(2, 3), 4)
     b = Truncation(Params(2, 5), 4)
@@ -572,6 +583,21 @@ def test_dress_polynomial_refuses_exponents_that_are_not_nonnegative_ints(expo):
     # such a dressing would otherwise crash deep in the monopole assembly
     message = f"exponent tuple {expo} is not of nonnegative integers"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DressPolynomial(2, {expo: 1})
+
+
+def test_dressing_of_the_wrong_variable_count_raises():
+    basis = build_graded_basis(Params(2, 3), 4)
+    for nvars in (1, 3):
+        with pytest.raises(
+            DimensionError, match=r"^dressing polynomial has the wrong variable count$"
+        ):
+            minuscule_monopole(basis, (1, 0), DressPolynomial.elementary(nvars, 1))
+
+
+@pytest.mark.parametrize("expo", [(1,), (1, 0, 0)])
+def test_dress_polynomial_refuses_exponent_tuples_of_the_wrong_length(expo):
+    with pytest.raises(DimensionError, match=r"^exponent tuple has wrong length$"):
         DressPolynomial(2, {expo: 1})
 
 

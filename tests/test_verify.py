@@ -286,6 +286,66 @@ def test_finite_part_character_values():
         finite_part_character(Truncation(Params(4, 5), 10))
 
 
+# (3, 4) has Euler series 1, 1, 2, 3, 4, 4, 5, 5, 5, 5 up to degree 9, and
+# finite part 1, 0, 1, 1, 1, 0, 1 of degree 6 summing to 5
+EULER_FAULTS = {
+    "unstable": (
+        lambda series: series[:-1] + [series[-1] + 1],
+        "the Euler series did not stabilize past degree 6",
+    ),
+    "negative difference": (
+        lambda series: [series[0], series[1] - 1] + series[2:],
+        "the finite part [1, -1, 2, 1, 1, 0, 1, 0, 0, 0] has a negative coefficient",
+    ),
+    "wrong top degree": (
+        lambda series: series[:5] + [series[4]] * (len(series) - 5),
+        "the finite part has degree 4, not 6",
+    ),
+    "wrong sum": (
+        lambda series: [2 * c for c in series],
+        "the finite part sums to 10, not the compactified Jacobian dimension 5",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "damage,message", EULER_FAULTS.values(), ids=EULER_FAULTS.keys()
+)
+def test_wrong_euler_series_stops_kernel_y_with_exit_5(
+    monkeypatch, capsys, damage, message
+):
+    euler_series = verify.euler_series
+    monkeypatch.setattr(
+        verify, "euler_series", lambda params, D: damage(euler_series(params, D))
+    )
+    code = main(["verify", "--suite", "kernel-y", "--n", "3", "--k", "4", "-D", "9"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert captured.err == f"error: invariant violated: {message}\n"
+
+
+@pytest.mark.parametrize("n,k,D,top", [(2, 3, 8, 2), (3, 4, 9, 6)])
+def test_kernel_y_missing_its_top_vector_names_the_degree(
+    monkeypatch, capsys, n, k, D, top
+):
+    def dropped(run):
+        kernels = kernel_y(run)
+        kernels[top] = kernels[top][:-1]
+        return kernels
+
+    monkeypatch.setattr(verify, "kernel_y", dropped)
+    code = main(
+        ["verify", "--suite", "kernel-y", "--n", str(n), "--k", str(k), "-D", str(D)]
+    )
+    [report] = json.loads(capsys.readouterr().out)["results"]["suites"]
+    assert code == 1
+    assert report["witness"] == {"degree": top, "expected_dim": 1, "actual_dim": 0}
+    assert report["details"]["expected_total"] == sum(
+        report["details"]["character_coefficients"]
+    )
+
+
 def test_finite_part_matches_kernel_dims():
     run = Truncation(Params(3, 4), 12)
     character = finite_part_character(run)
@@ -307,6 +367,21 @@ def test_lowest_weight_decomposition():
     assert _check_lowest_weight_decomposition(Truncation(Params(2, 7), 12)).passed
     with pytest.raises(UnderTruncationError):
         run_suite("appendix-b", Truncation(Params(2, 7), 7))
+
+
+def test_missing_lowest_weight_class_gives_the_count_witness(monkeypatch, capsys):
+    monkeypatch.setattr(
+        verify,
+        "lowest_weight_decomposition",
+        lambda run: lowest_weight_decomposition(run)[:-1],
+    )
+    code = main(["verify", "--suite", "appendix-b", "--n", "2", "--k", "7", "-D", "8"])
+    [report] = json.loads(capsys.readouterr().out)["results"]["suites"]
+    assert code == 1
+    assert report["witness"] == {"expected_count": 8, "actual_count": 7}
+    assert [sub["status"] for sub in report["details"]["subchecks"]] == [
+        "pass", "pass", "fail"
+    ]
 
 
 def test_rank_two_lowering_kills_boundary_classes():
@@ -546,6 +621,14 @@ def test_first_mismatch_refuses_operators_on_different_bases():
     b = Truncation(Params(3, 4), 4).x
     with pytest.raises(DimensionError, match="^operators live on different graded bases$"):
         first_mismatch(a, b)
+
+
+def test_first_mismatch_refuses_operators_of_different_shifts():
+    run = Truncation(Params(2, 3), 4)
+    with pytest.raises(
+        DimensionError, match=r"^comparing operators of different shifts 1 vs -1$"
+    ):
+        first_mismatch(run.x, run.y)
 
 
 def test_report_status_follows_witness():
