@@ -258,15 +258,12 @@ class RatMat:
             row[c] = Fraction(1)
         return reduced, pivots
 
-    def rank(self):
-        return len(self.rref()[1])
-
     def rank_mod(self, p):
         """Rank of the numerator matrix ``num`` over the integers mod ``p``.
 
-        The column walk of ``rref`` run mod p.  It never exceeds ``rank()``:
-        a minor that is nonzero mod p is a nonzero integer, and ``num`` is
-        the matrix times the positive scalar ``den``.  So
+        The column walk of ``rref`` run mod p.  It never exceeds the rank
+        over Q: a minor that is nonzero mod p is a nonzero integer, and
+        ``num`` is the matrix times the positive scalar ``den``.  So
         ``rank_mod(p) == ncols`` proves a zero kernel.
         """
         ncols = self.ncols

@@ -40,7 +40,7 @@ operator never maps outside the moduli.  This is checked, not assumed:
 is not a label.
 
 The named operators X, Y, E, F, H and the dressed E_r[f], F_r[f] are read
-from ``verify.Truncation``, which alone applies the lowering family's hbar
+from ``verify.Truncation``, which alone chooses the lowering family's hbar
 twist and the sign of F.
 """
 
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm, prod
+from math import lcm, prod
 from operator import add, sub
 
 from .errors import DimensionError, InvariantError, TruncationError
@@ -59,8 +59,8 @@ class DressPolynomial:
     """Exact polynomial in the weight components phi_0..phi_{n-1}.
 
     Terms map exponent tuples, of nvars nonnegative ints, to rational
-    coefficients.  The scalar parameters (m and hbar) are numbers at
-    operator-build time, so they live inside the coefficients.
+    coefficients.  The coupling m is a number at operator-build time, so it
+    lives inside the coefficients; the hbar twist is the builder's ``t``.
     """
 
     __slots__ = ("nvars", "terms")
@@ -108,23 +108,6 @@ class DressPolynomial:
                 ((coeff * denominator / scale ** len(slots)).numerator, slots)
             )
         return terms, denominator
-
-    def shift_all(self, c):
-        """Substitute x_a -> x_a - c in every variable."""
-        c = Fraction(c)
-        terms = dict(self.terms)
-        for var in range(self.nvars):
-            shifted = {}
-            for expo, coeff in terms.items():
-                e = expo[var]
-                for j in range(e + 1):
-                    new = list(expo)
-                    new[var] = j
-                    key = tuple(new)
-                    contrib = coeff * comb(e, j) * (-c) ** (e - j)
-                    shifted[key] = shifted.get(key, Fraction(0)) + contrib
-            terms = {k: v for k, v in shifted.items() if v != 0}
-        return DressPolynomial(self.nvars, terms)
 
     def __eq__(self, other):
         if not isinstance(other, DressPolynomial):
@@ -360,18 +343,18 @@ def minuscule_orbit(coweight):
     return out
 
 
-def minuscule_monopole(basis, coweight, dress=None):
+def minuscule_monopole(basis, coweight, dress=None, t=0):
     """Matrix of the dressed minuscule monopole operator on the truncation.
 
     ``coweight`` is a vector of length n (see ``minuscule_orbit``).  The
     dressing, None for f = 1, must be invariant under the stabilizer
-    S_r x S_{n-r} of the sorted charge; each orbit term evaluates it at the
-    target weights through the orbit representative.  Each orbit term's N
-    is read from the source's gap table; a term with N = 0 vanishes
-    identically and is dropped, and every other term goes to
-    ``GradedOperator.assemble``, which refuses it if its target leaves the
-    moduli, even where the dressing vanishes.  Weight separation is checked
-    once per source label.
+    S_r x S_{n-r} of the sorted charge; each orbit term of target B
+    evaluates it at phi(B) - t, t the integer twist, through the orbit
+    representative.  Each orbit term's N is read from the source's gap
+    table; a term with N = 0 vanishes identically and is dropped, and every
+    other term goes to ``GradedOperator.assemble``, which refuses it if its
+    target leaves the moduli, even where the dressing vanishes.  Weight
+    separation is checked once per source label.
     """
     n, k = basis.params.n, basis.params.k
     table = minuscule_orbit(coweight)
@@ -381,24 +364,23 @@ def minuscule_monopole(basis, coweight, dress=None):
         raise DimensionError(f"coweight has length {len(lam)}, expected {n}")
     shift = sum(lam)
     if dress is None:
-        dress_terms, dress_scale = [(1, ())], 1
-    else:
-        if dress.nvars != n:
-            raise DimensionError("dressing polynomial has the wrong variable count")
-        # the swaps of i, i + 1 with i != r - 1 generate S_r x S_{n-r},
-        # r = |shift|; each must map every term to one of equal coefficient
-        for i in range(n - 1):
-            if i != abs(shift) - 1 and any(
-                dress.terms.get((*e[:i], e[i + 1], e[i], *e[i + 2 :])) != c
-                for e, c in dress.terms.items()
-            ):
-                raise ValueError(
-                    "dressing polynomial is not invariant under the coweight stabilizer"
-                )
-        # f(phi) = f(P / n): integer terms over dress_scale, read through rep
-        dress_terms, dress_scale = dress.integer_form(n)
+        dress = DressPolynomial(n, {(0,) * n: 1})
+    if dress.nvars != n:
+        raise DimensionError("dressing polynomial has the wrong variable count")
+    # the swaps of i, i + 1 with i != r - 1 generate S_r x S_{n-r},
+    # r = |shift|; each must map every term to one of equal coefficient
+    for i in range(n - 1):
+        if i != abs(shift) - 1 and any(
+            dress.terms.get((*e[:i], e[i + 1], e[i], *e[i + 2 :])) != c
+            for e, c in dress.terms.items()
+        ):
+            raise ValueError(
+                "dressing polynomial is not invariant under the coweight stabilizer"
+            )
+    # f(phi) = f(P / n): integer terms over dress_scale, read through rep
+    dress_terms, dress_scale = dress.integer_form(n)
     # flat indices into the gap_table rows: N reads its pairs and then its
-    # slots, D its pairs alone
+    # slots, D its pairs alone; n * (phi(B) - t) is P less n * (lam + t)
     orbit = []
     for lam, rep, pairs, slots, scale in table:
         pair_index = [a * n + b for a, b in pairs]
@@ -409,6 +391,7 @@ def minuscule_monopole(basis, coweight, dress=None):
                 pair_index,
                 scale * dress_scale,
                 [(c, [rep[i] for i in dslots]) for c, dslots in dress_terms],
+                [n * (lam[a] + t) for a in range(n)],
             )
         )
     off_diagonal = [a * n + b for a in range(n) for b in range(n) if a != b]
@@ -419,13 +402,13 @@ def minuscule_monopole(basis, coweight, dress=None):
         # weight separation, which needs gcd(n, k) = 1, makes every D nonzero
         if not all(map(gaps.__getitem__, off_diagonal)):
             raise InvariantError(f"zero denominator for {label}")
-        for lam, numerator_index, pair_index, scale, dressing in orbit:
+        for lam, numerator_index, pair_index, scale, dressing, offset in orbit:
             numerator = prod(map(factors.__getitem__, numerator_index))
             if numerator:
                 value = 0
                 for c, dslots in dressing:
                     for a in dslots:
-                        c *= weights[a] - n * lam[a]
+                        c *= weights[a] - offset[a]
                     value += c
                 yield (
                     tuple(map(add, label, lam)),

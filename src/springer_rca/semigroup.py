@@ -15,16 +15,19 @@ re-check test membership through one predicate, ``membership(n, k)``.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .core import Params
 from .errors import InvariantError
 
 
+@cache
 def membership(n, k):
     """The membership predicate of the semigroup {a*n + b*k : a, b >= 0}.
 
     x = a*n + b*k with b < n the least such: b = x / k mod n, and then x is
-    a member iff a >= 0, i.e. iff b*k <= x.  The inverse of k mod n is
-    computed once per call, not per test.
+    a member iff a >= 0, i.e. iff b*k <= x.  The predicate, and with it the
+    inverse of k mod n, is built once per (n, k) and then shared.
     """
     inverse = pow(k, -1, n)
     return lambda x: x >= 0 and (x * inverse % n) * k <= x

@@ -121,9 +121,9 @@ class Truncation:
         coweight = (sign,) * r + (0,) * (n - r)
         key = (coweight, dress)
         if key not in self._operators:
-            if dress is not None and sign < 0:
-                dress = dress.shift_all(self.params.hbar)
-            self._operators[key] = minuscule_monopole(self.basis, coweight, dress)
+            self._operators[key] = minuscule_monopole(
+                self.basis, coweight, dress, int(self.params.hbar) if sign < 0 else 0
+            )
         return self._operators[key]
 
     @property
@@ -670,6 +670,8 @@ def applicable_suites(run):
     its least degree, where ``run_suite`` would stop the run with an
     under-truncation error.  All of this is decided before any suite runs.
     """
+    if run.max_degree is None:
+        raise TruncationError("a truncation with no max_degree has no basis")
     return [
         name
         for name, suite in SUITES.items()

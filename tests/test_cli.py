@@ -768,6 +768,23 @@ def test_csv_reports_are_unchanged(key, digest, capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == out
 
 
+# dressed lowering reports: F_2[e1] twisted by hbar in Truncation, and the
+# raw coweight route, which evaluates its dressing at phi as given
+DRESSED_DIGESTS = {
+    "operator --op Fr --r 2 --dress e1 --n 3 --k 4 --max-degree 8":
+        "f9cc01317a81f536dd8873e665fd59a607b51c52d09be61ef8bf9c2f681eb4ee",
+    "operator --op monopole --coweight=0,-1,-1 --dress e1 --n 3 --k 4 --max-degree 8":
+        "ede8430f07b083a87fab44ae453c043ee4902fe616aabe95343a87d18a001647",
+}
+
+
+@pytest.mark.parametrize("key,digest", DRESSED_DIGESTS.items(), ids=DRESSED_DIGESTS.keys())
+def test_dressed_lowering_reports_are_unchanged(key, digest, capsys):
+    code, out, err = run_cli(capsys, *key.split())
+    assert code == 0, err
+    assert _sha256(out) == digest
+
+
 GOLDEN_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "golden.json"
 )

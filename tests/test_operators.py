@@ -169,8 +169,11 @@ def sca_denominator(lam, phis):
     return value
 
 
-def reference_monopole(basis, coweight, dress=None):
-    """Operator entries {(d, i, j): value} assembled over Fraction."""
+def reference_monopole(basis, coweight, dress=None, t=0):
+    """Operator entries {(d, i, j): value} assembled over Fraction.
+
+    The dressing is evaluated at phi - t, phi the target weights.
+    """
     p = basis.params
     dress = DressPolynomial(p.n, {(0,) * p.n: 1}) if dress is None else dress
     shift = sum(coweight)
@@ -183,7 +186,7 @@ def reference_monopole(basis, coweight, dress=None):
                     continue
                 phis = phi_weights(target, p)
                 value = (
-                    evaluate(dress, tuple(phis[rep[i]] for i in range(p.n)))
+                    evaluate(dress, tuple(phis[rep[i]] - t for i in range(p.n)))
                     * sca_numerator(lam, phis, p.m)
                     / sca_denominator(lam, phis)
                 )
@@ -370,14 +373,15 @@ def test_boundary_vanishing(n, k, max_degree):
 
 def _dressings(n, r):
     """Stabilizer-invariant dressings: 1, e1, e2 and a slot-reading rational one."""
-    # e_1 of the slots 0..r-1 that read the charge's nonzero positions
-    first = DressPolynomial(n, {tuple(int(i == a) for i in range(n)): 1 for a in range(r)})
-    shifted = first.shift_all(Fraction(1, 2))
+    # 2/3 (first - r/2), first the e_1 of the slots 0..r-1 that read the
+    # charge's nonzero positions
+    rational = {tuple(int(i == a) for i in range(n)): Fraction(2, 3) for a in range(r)}
+    rational[(0,) * n] = Fraction(-r, 3)
     return [
         None,
         DressPolynomial.elementary(n, 1),
         DressPolynomial.elementary(n, 2),
-        DressPolynomial(n, {e: c * Fraction(2, 3) for e, c in shifted.terms.items()}),
+        DressPolynomial(n, rational),
     ]
 
 
@@ -442,6 +446,20 @@ def test_operators_match_fraction_reference_assembly(n, k):
             for dress in _dressings(n, r)[1:]:
                 got = _entries(minuscule_monopole(small, cw, dress))
                 assert got == reference_monopole(small, cw, dress), (sign, r, dress)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_named_monopoles_twist_only_the_lowering_dressing(data):
+    # E_r[f] evaluates f at phi and F_r[f] at phi - hbar, hbar = 1, for e1,
+    # e2 and the rational dressing, every coprime n <= 5, k <= 9 and every r
+    n, k = data.draw(st.sampled_from(COPRIME_PAIRS))
+    r = data.draw(st.integers(1, n))
+    sign = data.draw(st.sampled_from((1, -1)))
+    dress = data.draw(st.sampled_from(_dressings(n, r)[1:]))
+    run = Truncation(Params(n, k), 8)
+    expected = reference_monopole(run.basis, charge(sign, r, n), dress, int(sign < 0))
+    assert _entries(run.monopole(sign, r, dress)) == expected
 
 
 def test_commutator_examples():
@@ -574,8 +592,9 @@ def test_dress_polynomial_basics():
     assert evaluate(e1, (1, 2, 3)) == 6
     e2 = DressPolynomial.elementary(3, 2)
     assert evaluate(e2, (1, 2, 3)) == 11
-    shifted = e1.shift_all(1)
-    assert evaluate(shifted, (1, 2, 3)) == 3
+    # e1 at phi - 1 in three variables is e1 - 3
+    shifted = DressPolynomial(3, {**e1.terms, (0, 0, 0): -3})
+    assert evaluate(shifted, (1, 2, 3)) == evaluate(e1, (0, 1, 2)) == 3
 
 
 @pytest.mark.parametrize("expo", [(-1, -1), (0.5, 0.5), (2, -1), (1, 1.0)])

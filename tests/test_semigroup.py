@@ -71,6 +71,13 @@ def test_membership_matches_loop_reference():
             assert member(x) == loop_contains(x, n, k), (n, k, x)
 
 
+def test_membership_builds_one_predicate_per_pair():
+    # count_ideals calls is_stable once per gap set, 23 296 times at
+    # (6, 11, 56); each call reads the one shared predicate
+    assert membership(6, 11) is membership(6, 11)
+    assert membership(6, 11) is not membership(11, 6)
+
+
 def test_non_coprime_rejected():
     # the search and the count validate through Params, the one check
     for search in (enumerate_gap_sets, count_ideals):

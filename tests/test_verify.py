@@ -615,6 +615,16 @@ def test_suites_without_max_degree_raise_package_errors(name):
     assert "basis" not in vars(run)
 
 
+def test_applicable_suites_without_max_degree_raise_truncation_error():
+    # as the run's basis does, rather than comparing a degree with None
+    run = Truncation(Params(2, 3), None)
+    message = r"^a truncation with no max_degree has no basis$"
+    with pytest.raises(TruncationError, match=message):
+        applicable_suites(run)
+    with pytest.raises(TruncationError, match=message):
+        run.basis
+
+
 def test_first_mismatch_refuses_operators_on_different_bases():
     # both are X, of shift 1, so only the bases tell them apart
     a = Truncation(Params(2, 3), 4).x
@@ -995,6 +1005,28 @@ def _run_python(code):
         [sys.executable, "-c", code],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_weyl_relation_at_8_9_40_peaks_under_75_mb():
+    # the relation check holds one degree of products: about 48 MB peak.
+    # The fresh interpreter reads its own VmHWM: its ru_maxrss would also
+    # carry the peak of the process that started it, which Linux keeps
+    # across exec
+    argv = ["verify", "--suite", "weyl", "--n", "8", "--k", "9", "--max-degree", "40"]
+    result = _run_python(
+        "import os, sys\n"
+        "from springer_rca.cli import main\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        f"code = main({argv!r})\n"
+        "with open('/proc/self/status') as status:\n"
+        "    peak = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
+        "print(code, peak, file=sys.stderr)\n"
+    )
+    assert result.returncode == 0, result.stderr
+    code, peak_kb = map(int, result.stderr.split())
+    assert code == 0
+    assert peak_kb / 1024 <= 75
 
 
 def _nonvanishing_factors(weights, k):
