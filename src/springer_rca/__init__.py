@@ -19,6 +19,7 @@ from .core import (
 )
 from .errors import (
     DimensionError,
+    InputError,
     InvariantError,
     SpringerRcaError,
     TruncationError,

@@ -1,8 +1,9 @@
 """Command-line front end: computations and verification suites as reports.
 
-Exit codes: 0 success (all checks pass), 1 a suite failed, 2 usage error,
-3 unsupported parameters, 4 under-truncation (the minimal sufficient degree
-is printed), 5 an internal error, such as a violated invariant.
+Exit codes: 0 success (all checks pass), 1 a suite failed, 2 bad input (an
+``InputError``, raised here or by the library), 3 unsupported parameters,
+4 under-truncation (the minimal sufficient degree is printed), 5 any other
+package error, such as a violated invariant.
 Output is deterministic for a given configuration; rationals are emitted in
 lowest terms as strings.
 """
@@ -15,7 +16,9 @@ import sys
 
 from . import __version__
 from .core import Params
-from .errors import SpringerRcaError, UnderTruncationError, UnsupportedParametersError
+from .errors import (
+    InputError, SpringerRcaError, UnderTruncationError, UnsupportedParametersError
+)
 from .operators import DressPolynomial, commutator, minuscule_monopole
 from .verify import SUITES, Truncation, applicable_suites, run_suite
 
@@ -35,10 +38,6 @@ OPERATORS = {
 # each --dress and the degree of its elementary symmetric polynomial;
 # e_0 = 1 is no dressing
 DRESSINGS = {"1": 0, "e1": 1, "e2": 2}
-
-
-class UsageError(Exception):
-    pass
 
 
 def _build_parser():
@@ -95,14 +94,14 @@ def _load_config(path):
         with open(path, encoding="utf-8") as handle:
             lines = list(handle)
     except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: config file is not UTF-8 text: {exc}") from None
+        raise InputError(f"{path}: config file is not UTF-8 text: {exc}") from None
     values = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise InputError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         values[key.replace("-", "_")] = value
     return values
@@ -114,11 +113,11 @@ def _config_value(action, key, value):
         try:
             value = action.type(value)
         except ValueError:
-            raise UsageError(
+            raise InputError(
                 f"config key {key!r} must be an integer, got {value!r}"
             ) from None
     if action.choices is not None and value not in action.choices:
-        raise UsageError(
+        raise InputError(
             f"config key {key!r} must be one of {', '.join(action.choices)}, "
             f"got {value!r}"
         )
@@ -140,7 +139,7 @@ def _merge_config(args, command_parser):
     }
     for key, value in _load_config(args.config).items():
         if key not in actions:
-            raise UsageError(f"unknown config key {key!r}")
+            raise InputError(f"unknown config key {key!r}")
         value = _config_value(actions[key], key, value)
         if getattr(args, key) is None:
             setattr(args, key, value)
@@ -150,7 +149,7 @@ def _merge_config(args, command_parser):
 def _require(args, *names):
     for name in names:
         if getattr(args, name) is None:
-            raise UsageError(f"missing required option --{name.replace('_', '-')}")
+            raise InputError(f"missing required option --{name.replace('_', '-')}")
 
 
 def _params(args, *names):
@@ -160,12 +159,7 @@ def _params(args, *names):
     which ``Params`` refuses (exit 3).
     """
     _require(args, "n", "k", *names)
-    try:
-        return Params(args.n, args.k)
-    except ValueError as exc:
-        if isinstance(exc, SpringerRcaError):
-            raise
-        raise UsageError(str(exc))
+    return Params(args.n, args.k)
 
 
 def _write(stream, args, payload, csv_rows):
@@ -231,26 +225,20 @@ def _build_operator(args, run):
     for option, value in (("r", args.r), ("coweight", args.coweight), ("dress", dress)):
         if value is not None and option not in OPERATORS[name]:
             what = "a dressing" if option == "dress" else f"--{option}"
-            raise UsageError(f"operator {name} does not take {what}")
-    try:
-        if name in ("Er", "Fr"):
-            _require(args, "r")
-            return run.monopole(1 if name == "Er" else -1, args.r, dress)
-        if name == "monopole":
-            # the raw coweight route: the dressing is evaluated at phi as given
-            _require(args, "coweight")
-            try:
-                vector = tuple(int(x) for x in args.coweight.split(","))
-            except ValueError:
-                raise UsageError(f"cannot parse coweight {args.coweight!r}")
-            if len(vector) != n:
-                raise UsageError(f"coweight must have length n = {n}")
-            return minuscule_monopole(run.basis, vector, dress)
-    except ValueError as exc:
-        # the monopole's own refusal of --r or of the charge
-        if isinstance(exc, SpringerRcaError):
-            raise
-        raise UsageError(str(exc))
+            raise InputError(f"operator {name} does not take {what}")
+    if name in ("Er", "Fr"):
+        _require(args, "r")
+        return run.monopole(1 if name == "Er" else -1, args.r, dress)
+    if name == "monopole":
+        # the raw coweight route: the dressing is evaluated at phi as given
+        _require(args, "coweight")
+        try:
+            vector = tuple(int(x) for x in args.coweight.split(","))
+        except ValueError:
+            raise InputError(f"cannot parse coweight {args.coweight!r}")
+        if len(vector) != n:
+            raise InputError(f"coweight must have length n = {n}")
+        return minuscule_monopole(run.basis, vector, dress)
     if name == "commutator-XY":
         return commutator(run.x, run.y)
     return getattr(run, name.lower())  # X, Y, E, F or H
@@ -340,17 +328,17 @@ def main(argv=None):
     try:
         args = _merge_config(args, command_parsers[args.command])
         if args.max_degree is not None and args.max_degree < 0:
-            raise UsageError("--max-degree must be nonnegative")
+            raise InputError("--max-degree must be nonnegative")
         return COMMANDS[args.command](args)
-    except (UsageError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except UnderTruncationError as exc:
         print(f"error: under-truncation: {exc}", file=sys.stderr)
         return EXIT_UNDER_TRUNCATION
     except UnsupportedParametersError as exc:
         print(f"error: unsupported parameters: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except (InputError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except SpringerRcaError as exc:
         print(f"error: invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -17,7 +17,9 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from .errors import DimensionError, TruncationError, UnsupportedParametersError
+from .errors import (
+    DimensionError, InputError, TruncationError, UnsupportedParametersError
+)
 
 
 class Params(namedtuple("Params", "n k")):
@@ -33,7 +35,7 @@ class Params(namedtuple("Params", "n k")):
 
     def __new__(cls, n, k):
         if n < 1 or k < 1:
-            raise ValueError(f"n and k must be positive, got ({n}, {k})")
+            raise InputError(f"n and k must be positive, got ({n}, {k})")
         if gcd(n, k) != 1:
             raise UnsupportedParametersError(
                 f"(n, k) = ({n}, {k}) is not coprime; torus fixed "
@@ -86,30 +88,46 @@ def is_admissible(entries, params: Params) -> bool:
 def enumerate_fixed_points(params: Params, d: int) -> list:
     """All admissible cocharacters of degree d, in lexicographic order.
 
-    Admissibility bounds every entry by d, so the search terminates; the
-    recursion below emits nondecreasing vectors in lex order directly.
+    Slots 0 to n - 2 are filled left to right, each over increasing values,
+    from an explicit stack, and the last slot takes what is left of d.  A
+    slot's range keeps a completion possible: at least the slot before it,
+    at most an equal share of what is left, and large enough that the later
+    slots, each at most slot 0 + k, can use up the rest.  So every prefix
+    visited ends in admissible vectors, and no depth grows with n.
     """
     if d < 0:
-        raise ValueError("degree must be nonnegative")
+        raise InputError("degree must be nonnegative")
     n, k = params.n, params.k
+    if n == 1:
+        return [(d,)]
+    # slot 0 = a needs n * a <= d <= a + (n - 1) * (a + k)
+    first = range(max(0, -(((n - 1) * k - d) // n)), d // n + 1)
+    if n == 2:
+        return [(a, d - a) for a in first]
     out = []
-
-    def extend(prefix, remaining):
+    prefix = []  # the values of the slots below the top of the stack
+    # per slot on the stack: its values left, and what it and later slots sum to
+    stack = [(iter(first), d)]
+    while stack:
+        values, rest = stack[-1]
+        value = next(values, None)
+        if value is None:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        prefix.append(value)
         slot = len(prefix)
-        if slot == n - 1:
-            # the prefix is empty only for n = 1, whose one vector is (d,)
-            last = remaining
-            if last >= (prefix[-1] if prefix else 0) and last - (prefix[0] if prefix else last) <= k:
-                out.append(prefix + (last,))
-            return
-        lo = prefix[-1] if prefix else 0
-        # the remaining n - slot entries are each >= value placed here
-        for value in range(lo, remaining // (n - slot) + 1):
-            if prefix and value - prefix[0] > k:
-                break
-            extend(prefix + (value,), remaining - value)
-
-    extend((), d)
+        rest -= value
+        lo = max(value, rest - (n - slot - 1) * (prefix[0] + k))
+        values = range(lo, rest // (n - slot) + 1)
+        if slot == n - 2:
+            # the last two slots at once: the second is what is left
+            head = tuple(prefix)
+            out.extend([(*head, v, rest - v) for v in values])
+            prefix.pop()
+        else:
+            stack.append((iter(values), rest))
     return out
 
 
@@ -185,7 +203,7 @@ class GradedBasis:
 def build_graded_basis(params: Params, max_degree: int) -> GradedBasis:
     """Enumerate strata for all degrees 0..max_degree."""
     if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
+        raise InputError("max_degree must be nonnegative")
     strata = tuple(
         tuple(enumerate_fixed_points(params, d)) for d in range(max_degree + 1)
     )

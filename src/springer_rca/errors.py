@@ -5,6 +5,10 @@ class SpringerRcaError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InputError(SpringerRcaError, ValueError):
+    """An argument the package refuses: the input is wrong, not the computation."""
+
+
 class DimensionError(SpringerRcaError, ValueError):
     """Shapes, lengths or bases of two objects do not match."""
 

@@ -20,13 +20,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 
-from .errors import DimensionError, InvariantError
+from .errors import DimensionError, InputError, InvariantError
 
 ZERO = Fraction(0)
 
 # the prime of the zero-kernel certificate (``RatMat.rank_mod``)
 PRIME = 2**61 - 1
+
+
+def ratio(value):
+    """The (numerator, denominator) of an exact rational scalar, in lowest terms.
+
+    A float, a string or any other value that is not a ``numbers.Rational``
+    raises TypeError, so no rounded or parsed number enters the arithmetic.
+    """
+    if not isinstance(value, Rational):
+        raise TypeError(f"expected a rational number, got {type(value).__name__}")
+    return value.numerator, value.denominator
 
 
 class RatMat:
@@ -45,15 +57,13 @@ class RatMat:
     def __init__(self, nrows, ncols, entries=None):
         """The matrix with the rational ``entries`` {(i, j): value}, zero elsewhere."""
         if nrows < 0 or ncols < 0:
-            raise ValueError("matrix shape must be nonnegative")
+            raise InputError("matrix shape must be nonnegative")
         self.nrows = nrows
         self.ncols = ncols
         self.num = {}
         self.den = 1
         if entries:
-            self._take_ratios(
-                {key: (v.numerator, v.denominator) for key, v in entries.items()}
-            )
+            self._take_ratios({key: ratio(v) for key, v in entries.items()})
 
     @classmethod
     def from_ratios(cls, nrows, ncols, ratios):
@@ -139,14 +149,11 @@ class RatMat:
         return RatMat(self.nrows, self.ncols)._take(num, den)
 
     def scaled(self, c):
-        c = Fraction(c)
+        p, q = ratio(c)
         out = RatMat(self.nrows, self.ncols)
-        if not c:
+        if not p:
             return out
-        p = c.numerator
-        return out._take(
-            {key: p * v for key, v in self.num.items()}, self.den * c.denominator
-        )
+        return out._take({key: p * v for key, v in self.num.items()}, self.den * q)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
@@ -210,7 +217,7 @@ class RatMat:
     def vstack(cls, mats):
         mats = list(mats)
         if not mats:
-            raise ValueError("vstack of no matrices")
+            raise InputError("vstack of no matrices")
         ncols = mats[0].ncols
         for m in mats:
             if m.ncols != ncols:

@@ -51,8 +51,8 @@ from itertools import combinations
 from math import lcm, prod
 from operator import add, sub
 
-from .errors import DimensionError, InvariantError, TruncationError
-from .linalg import RatMat
+from .errors import DimensionError, InputError, InvariantError, TruncationError
+from .linalg import RatMat, ratio
 
 
 class DressPolynomial:
@@ -74,8 +74,8 @@ class DressPolynomial:
                 if len(expo) != nvars:
                     raise DimensionError("exponent tuple has wrong length")
                 if not all(isinstance(e, int) and e >= 0 for e in expo):
-                    raise ValueError(f"exponent tuple {expo} is not of nonnegative integers")
-                coeff = Fraction(coeff)
+                    raise InputError(f"exponent tuple {expo} is not of nonnegative integers")
+                coeff = Fraction(*ratio(coeff))
                 if coeff != 0:
                     self.terms[expo] = self.terms.get(expo, Fraction(0)) + coeff
         self.terms = {e: c for e, c in self.terms.items() if c != 0}
@@ -244,6 +244,7 @@ class GradedOperator:
         )
 
     def scaled(self, c):
+        ratio(c)  # refuse an inexact c here, not at the first block
         return GradedOperator._composite(
             self.basis, self.shift, self.max_source, lambda d: self.block(d).scaled(c)
         )
@@ -253,7 +254,7 @@ class GradedOperator:
         by_degree = {}
         for label, coeff in vector.items():
             d = sum(label)
-            by_degree.setdefault(d, {})[label] = Fraction(coeff)
+            by_degree.setdefault(d, {})[label] = Fraction(*ratio(coeff))
         out = {}
         for d, component in sorted(by_degree.items()):
             if d < 0 or d > self.max_source:
@@ -276,7 +277,7 @@ class GradedOperator:
 
 def identity_operator(basis, scale=1):
     """``scale`` (an integer or a Fraction) times the identity on every degree."""
-    p, q = scale.numerator, scale.denominator
+    p, q = ratio(scale)
     return GradedOperator.assemble(basis, 0, lambda label: ((label, p, q),))
 
 
@@ -310,7 +311,7 @@ def minuscule_orbit(coweight):
     """The Weyl orbit of a minuscule coweight as (vector, rep, pairs, slots, scale).
 
     ``coweight`` is a vector of 0s and one sign, not all 0; any other
-    vector raises ValueError.  Its orbit is every placement of its r
+    vector raises InputError.  Its orbit is every placement of its r
     nonzero entries, in the order of ``combinations(range(n), r)``, and
     depends only on the sign, r and n.  The representative ``rep`` lists
     which variable each slot of a dressing polynomial reads: slots 0..r-1
@@ -325,10 +326,10 @@ def minuscule_orbit(coweight):
     n = len(coweight)
     nonzero = [v for v in coweight if v != 0]
     if not nonzero:
-        raise ValueError("the zero coweight is not a monopole charge")
+        raise InputError("the zero coweight is not a monopole charge")
     sign = 1 if nonzero[0] > 0 else -1
     if any(v not in (0, sign) for v in coweight):
-        raise ValueError(
+        raise InputError(
             f"{coweight} is not minuscule: entries must be 0 and a single sign"
         )
     out = []
@@ -374,7 +375,7 @@ def minuscule_monopole(basis, coweight, dress=None, t=0):
             dress.terms.get((*e[:i], e[i + 1], e[i], *e[i + 2 :])) != c
             for e, c in dress.terms.items()
         ):
-            raise ValueError(
+            raise InputError(
                 "dressing polynomial is not invariant under the coweight stabilizer"
             )
     # f(phi) = f(P / n): integer terms over dress_scale, read through rep

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import InvariantError
+from .errors import InputError, InvariantError
 
 
 def qbinomial(a, b):
@@ -21,7 +21,7 @@ def qbinomial(a, b):
     coefficients are nonnegative integers and palindromic.
     """
     if not 0 <= b <= a:
-        raise ValueError(f"qbinomial requires 0 <= b <= a, got ({a}, {b})")
+        raise InputError(f"qbinomial requires 0 <= b <= a, got ({a}, {b})")
     top = b * (a - b)
     coeffs = [1] + [0] * top
     for i in range(1, b + 1):
@@ -42,7 +42,7 @@ def euler_series(params, max_degree):
     """
     n, k = params.n, params.k
     if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
+        raise InputError("max_degree must be nonnegative")
     coeffs = qbinomial(n - 1 + k, n - 1)[: max_degree + 1]
     coeffs += [0] * (max_degree + 1 - len(coeffs))
     for d in range(n, max_degree + 1):

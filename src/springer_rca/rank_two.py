@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import comb
 from operator import itemgetter
 
+from .errors import InputError
 from .operators import GradedOperator
 
 
@@ -126,7 +127,7 @@ def y_kernel_vectors(ell):
     k = 2l + 1.  Every denominator factor is odd, hence nonzero.
     """
     if ell < 0:
-        raise ValueError("ell must be nonnegative")
+        raise InputError("ell must be nonnegative")
     k = 2 * ell + 1
     vectors = []
     for big_n in range(ell + 1):

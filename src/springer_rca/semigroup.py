@@ -15,10 +15,11 @@ re-check test membership through one predicate, ``membership(n, k)``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cache
 
 from .core import Params
-from .errors import InvariantError
+from .errors import InputError, InvariantError
 
 
 @cache
@@ -62,34 +63,42 @@ def enumerate_gap_sets(n, k, m):
     path to it: a node records its set, then extends it by each later
     element whose predecessors it holds.  Past max(g, F) + n, g the largest
     chosen element, every element has its g - n in the semigroup but not
-    chosen, so the scan stops there.  The list holds each gap set as a
-    frozenset, colengths mixed.
+    chosen, so the scan stops there.  The nodes on the current path keep
+    their scans on an explicit stack, each resumed where it left off, so no
+    recursion grows with m.  The list holds each gap set as a frozenset,
+    colengths mixed, in depth-first order.
     """
     Params(n, k)  # refuses a non-positive or non-coprime (n, k)
     if m < 0:
-        raise ValueError("colength must be nonnegative")
+        raise InputError("colength must be nonnegative")
     frobenius = n * k - n - k
     window = list(filter(membership(n, k), range(frobenius + m * n + 1)))
     members = set(window)
     predecessors = [
         [g - step for step in (n, k) if g - step in members] for g in window
     ]
-    found = []
-
-    def search(start, chosen, reach):
-        found.append(frozenset(chosen))
-        if len(chosen) == m:
-            return
-        for idx in range(start, len(window)):
-            g = window[idx]
-            if g > reach:
-                break
+    # after choosing window[idx], the scan for the next element ends at ends[idx]
+    ends = [bisect_right(window, max(g, frobenius) + n) for g in window]
+    found = [frozenset()]
+    chosen = set()
+    path = []  # the chosen elements in increasing order
+    # the root, the empty set, has children only for m > 0
+    scans = [iter(range(bisect_right(window, frobenius + n) if m else 0))]
+    while scans:
+        for idx in scans[-1]:
             if all(p in chosen for p in predecessors[idx]):
+                g = window[idx]
                 chosen.add(g)
-                search(idx + 1, chosen, max(g, frobenius) + n)
+                found.append(frozenset(chosen))
+                if len(chosen) < m:
+                    path.append(g)
+                    scans.append(iter(range(idx + 1, ends[idx])))
+                    break
                 chosen.remove(g)
-
-    search(0, set(), frobenius + n)
+        else:
+            scans.pop()
+            if path:
+                chosen.remove(path.pop())
     return found
 
 

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from .core import Params, build_graded_basis, stabilizer_cocharacter
 from .errors import (
-    DimensionError, InvariantError, TruncationError, UnderTruncationError
+    DimensionError, InputError, InvariantError, TruncationError, UnderTruncationError
 )
 from .linalg import RatMat
 from .operators import (
@@ -114,7 +114,7 @@ class Truncation:
         """
         n = self.params.n
         if sign not in (1, -1) or not 1 <= r <= n:
-            raise ValueError(
+            raise InputError(
                 f"a monopole needs sign 1 or -1 and 1 <= r <= n, "
                 f"got sign = {sign}, r = {r}, n = {n}"
             )
@@ -653,7 +653,7 @@ def run_suite(name, run):
     basis or operator is built.
     """
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}")
+        raise InputError(f"unknown suite {name!r}")
     suite = SUITES[name]
     if suite.rank_two:
         run.params.require_rank_two()

@@ -46,6 +46,14 @@ def test_fixed_points_degree_zero(capsys):
     assert json.loads(out)["results"]["strata"][0]["labels"] == [[0, 0]]
 
 
+def test_fixed_points_with_more_slots_than_the_recursion_limit(capsys):
+    code, out, _ = run_cli(
+        capsys, "fixed-points", "--n", "1500", "--k", "1501", "--max-degree", "0"
+    )
+    assert code == 0
+    assert json.loads(out)["results"]["strata"][0]["labels"] == [[0] * 1500]
+
+
 NON_COPRIME = {
     "fixed-points": ["fixed-points", "--n", "2", "--k", "4", "--max-degree", "3"],
     "operator X": ["operator", "--op", "X", "--n", "2", "--k", "4", "--max-degree", "3"],
@@ -523,10 +531,10 @@ def _zero_gap_tables(weights, k):
     return [0] * n * n, [0] * (n * n + n)
 
 
-# name -> (module, name patched in it, replacement, argv, message).  The
-# monopole build turns a plain ValueError into a usage error but passes a
-# package error on, such as a DimensionError; an InvariantError is no
-# ValueError, so a zero gap table passes it on as well.
+# name -> (module, name patched in it, replacement, argv, message).  Only an
+# InputError exits 2; every other package error exits 5, also one raised
+# inside a monopole build, such as a DimensionError or the InvariantError of
+# a zero gap table.
 PACKAGE_ERRORS = {
     "TruncationError": (
         verify, "_check_weyl_relation", _planted(TruncationError("planted")),
@@ -560,6 +568,13 @@ def test_every_package_error_exits_5(
     assert code == 5
     assert out == ""
     assert err == f"error: invariant violated: {message}\n"
+
+
+def test_plain_value_error_in_a_monopole_build_is_not_bad_input(capsys, monkeypatch):
+    # a defect that raises a plain ValueError is not reported as bad input
+    monkeypatch.setattr(operators, "gap_table", _planted(ValueError("planted")))
+    with pytest.raises(ValueError, match="planted"):
+        main(OPERATOR_E1)
 
 
 NEGATIVE_DEGREE = "--max-degree must be nonnegative"

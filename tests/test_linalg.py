@@ -157,6 +157,21 @@ def test_basic_arithmetic():
     assert len(eye(3).rref()[1]) == 3
 
 
+INEXACT = [0.1, "1/3"]
+
+
+@pytest.mark.parametrize("value", INEXACT)
+def test_entries_must_be_exact(value):
+    with pytest.raises(TypeError, match=type(value).__name__):
+        RatMat(1, 1, {(0, 0): value})
+
+
+@pytest.mark.parametrize("value", INEXACT)
+def test_scalar_must_be_exact(value):
+    with pytest.raises(TypeError, match=type(value).__name__):
+        eye(2).scaled(value)
+
+
 def test_shape_checks():
     with pytest.raises(DimensionError):
         mat([[1]]) + mat([[1, 2]])

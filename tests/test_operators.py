@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from springer_rca import (
     DimensionError,
     DressPolynomial,
+    GradedOperator,
     Params,
     Truncation,
     TruncationError,
@@ -423,6 +424,42 @@ def test_integer_form_of_rational_dressing():
         value = sum(c * prod(x[i] for i in slots) for c, slots in terms)
         assert Fraction(value, denominator) == evaluate(f, tuple(Fraction(v, 3) for v in x))
     assert DressPolynomial(2).integer_form(3) == ([], 1)
+
+
+INEXACT = [0.1, "1/3"]
+
+
+@pytest.mark.parametrize("value", INEXACT)
+def test_dressing_coefficients_must_be_exact(value):
+    with pytest.raises(TypeError, match=type(value).__name__):
+        DressPolynomial(1, {(1,): value})
+
+
+@pytest.mark.parametrize("value", INEXACT)
+def test_operator_scalar_is_checked_before_any_block(value):
+    x = Truncation(Params(2, 3), 4).x
+    with pytest.raises(TypeError, match=type(value).__name__):
+        x.scaled(value)
+
+
+@pytest.mark.parametrize("value", INEXACT)
+def test_vector_coefficients_must_be_exact(value):
+    x = Truncation(Params(2, 3), 4).x
+    with pytest.raises(TypeError, match=type(value).__name__):
+        x.apply({(0, 0): value})
+
+
+@pytest.mark.parametrize("value", INEXACT)
+def test_identity_scale_must_be_exact(value):
+    basis = build_graded_basis(Params(2, 3), 3)
+    with pytest.raises(TypeError, match=type(value).__name__):
+        identity_operator(basis, value)
+
+
+def test_graded_operator_refuses_a_block_of_the_wrong_shape():
+    basis = build_graded_basis(Params(2, 3), 3)
+    with pytest.raises(DimensionError, match=r"degree 2 has shape \(2, 1\), expected \(2, 2\)"):
+        GradedOperator(basis, 0, {0: RatMat(1, 1), 2: RatMat(2, 1)})
 
 
 def _entries(op):

@@ -1,4 +1,5 @@
-"""Package-wide contracts: interpreter flags change nothing, the README runs,
+"""Package-wide contracts: interpreter flags change nothing, a refused
+argument raises InputError, no search recurses per step, the README runs,
 and the traced benchmark sees every layer it needs."""
 
 import ast
@@ -10,6 +11,17 @@ import subprocess
 import sys
 
 import pytest
+
+from springer_rca import (
+    InputError,
+    Params,
+    build_graded_basis,
+    enumerate_fixed_points,
+    euler_series,
+    rank_two,
+)
+from springer_rca.linalg import RatMat
+from springer_rca.semigroup import enumerate_gap_sets
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "springer_rca")
@@ -63,6 +75,89 @@ def test_package_runs_the_same_under_python_O():
                 f"{name}:{line}: {what}" for line, what in optimize_sensitive(handle.read())
             ]
     assert found == []
+
+
+def plain_value_errors(source):
+    """The lines that raise a plain ``ValueError``, called or not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("raise ValueError('x')\n", [1]),
+        ("if c:\n    raise ValueError\n", [2]),
+        ("raise InputError('x')\n", []),
+        ("try:\n    f()\nexcept ValueError:\n    raise\n", []),
+        ("raise TypeError('x') from ValueError\n", []),
+    ],
+)
+def test_plain_value_errors_are_found(source, lines):
+    assert plain_value_errors(source) == lines
+
+
+def test_package_raises_no_plain_value_error():
+    # a refused argument is an InputError, which the CLI reports as exit 2
+    found = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as handle:
+                found += [f"{name}:{line}" for line in plain_value_errors(handle.read())]
+    assert found == []
+
+
+# name -> (call, message) for each refusal no other test reaches
+REFUSALS = {
+    "negative degree": (
+        lambda: enumerate_fixed_points(Params(2, 3), -1), "degree must be nonnegative"
+    ),
+    "negative basis truncation": (
+        lambda: build_graded_basis(Params(2, 3), -1), "max_degree must be nonnegative"
+    ),
+    "negative matrix shape": (lambda: RatMat(-1, 2), "matrix shape must be nonnegative"),
+    "empty vstack": (lambda: RatMat.vstack([]), "vstack of no matrices"),
+    "negative series truncation": (
+        lambda: euler_series(Params(2, 3), -1), "max_degree must be nonnegative"
+    ),
+    "negative ell": (lambda: rank_two.y_kernel_vectors(-1), "ell must be nonnegative"),
+    "negative colength": (
+        lambda: enumerate_gap_sets(2, 3, -1), "colength must be nonnegative"
+    ),
+}
+
+
+@pytest.mark.parametrize("call,message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refused_argument_raises_input_error(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+    assert isinstance(info.value, ValueError)
+
+
+def test_searches_do_not_recurse_per_slot_or_gap():
+    # with recursion per slot or per chosen gap, each call here needs
+    # hundreds of frames; run them below a limit of 200
+    code = (
+        "import sys\n"
+        "from springer_rca import Params, count_ideals, enumerate_fixed_points\n"
+        "sys.setrecursionlimit(200)\n"
+        "assert enumerate_fixed_points(Params(300, 301), 0) == [(0,) * 300]\n"
+        "counts = count_ideals(2, 3, 300)\n"
+        "assert len(counts) == 301 and counts[0] == 1\n"
+    )
+    src = os.path.join(ROOT, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_readme_examples_hold():
