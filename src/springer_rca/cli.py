@@ -3,7 +3,8 @@
 Exit codes: 0 success (all checks pass), 1 a suite failed, 2 bad input (an
 ``InputError``, raised here or by the library), 3 unsupported parameters,
 4 under-truncation (the minimal sufficient degree is printed), 5 any other
-package error, such as a violated invariant.
+package error, such as a violated invariant, or any other exception, a
+defect, printed with its traceback.
 Output is deterministic for a given configuration; rationals are emitted in
 lowest terms as strings.
 """
@@ -341,6 +342,12 @@ def main(argv=None):
         return EXIT_USAGE
     except SpringerRcaError as exc:
         print(f"error: invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc()
+        print(f"error: defect: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

@@ -184,15 +184,17 @@ class RatMat:
     def matvec(self, vec):
         """The product M v as a list of Fractions.
 
-        The coordinates of v are put over one common denominator, so every
-        row sum is an integer; a zero sum reads as 0 with no division.
+        The coordinates of v, each exact (see ``ratio``), are put over one
+        common denominator, so every row sum is an integer; a zero sum reads
+        as 0 with no division.
         """
         if len(vec) != self.ncols:
             raise DimensionError(
                 f"vector of length {len(vec)} against {self.ncols} columns"
             )
-        scale = lcm(*(v.denominator for v in vec))
-        coords = [v.numerator * (scale // v.denominator) for v in vec]
+        pairs = [ratio(v) for v in vec]
+        scale = lcm(*(q for _, q in pairs))
+        coords = [p * (scale // q) for p, q in pairs]
         out = [0] * self.nrows
         ncols = self.ncols
         for key, a in self.num.items():

@@ -281,10 +281,6 @@ def identity_operator(basis, scale=1):
     return GradedOperator.assemble(basis, 0, lambda label: ((label, p, q),))
 
 
-def zero_operator(basis, shift=0):
-    return GradedOperator.assemble(basis, shift, lambda label: ())
-
-
 def commutator(a, b):
     return a @ b - b @ a
 

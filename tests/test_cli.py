@@ -571,10 +571,34 @@ def test_every_package_error_exits_5(
 
 
 def test_plain_value_error_in_a_monopole_build_is_not_bad_input(capsys, monkeypatch):
-    # a defect that raises a plain ValueError is not reported as bad input
+    # a defect that raises a plain ValueError is not reported as bad input:
+    # it exits 5 with its traceback and one closing error line
     monkeypatch.setattr(operators, "gap_table", _planted(ValueError("planted")))
-    with pytest.raises(ValueError, match="planted"):
-        main(OPERATOR_E1)
+    code, out, err = run_cli(capsys, *OPERATOR_E1)
+    assert code == 5
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.splitlines()[-1] == "error: defect: ValueError: planted"
+
+
+def test_a_defect_exits_5_from_a_fresh_interpreter():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from springer_rca import operators\n"
+        "from springer_rca.cli import main\n"
+        "def planted(*args):\n"
+        "    raise ValueError('planted')\n"
+        "operators.gap_table = planted\n"
+        f"sys.exit(main({OPERATOR_E1!r}))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 5, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == "error: defect: ValueError: planted"
 
 
 NEGATIVE_DEGREE = "--max-degree must be nonnegative"

@@ -172,6 +172,12 @@ def test_scalar_must_be_exact(value):
         eye(2).scaled(value)
 
 
+@pytest.mark.parametrize("value", INEXACT)
+def test_matvec_coordinates_must_be_exact(value):
+    with pytest.raises(TypeError, match=type(value).__name__):
+        eye(2).matvec([1, value])
+
+
 def test_shape_checks():
     with pytest.raises(DimensionError):
         mat([[1]]) + mat([[1, 2]])
@@ -422,7 +428,7 @@ def test_block_arithmetic_builds_no_fraction_per_entry(size, monkeypatch):
 
 @pytest.mark.parametrize(
     "n,k,D,names",
-    [(5, 7, 30, ["x", "y"]), (2, 23, 120, ["x", "y", "e", "f", "h"])],
+    [(5, 7, 30, ["x", "y"]), (2, 23, 120, ["x", "y", "e", "h"])],
 )
 def test_stored_nonzero_memory(n, k, D, names):
     # traced bytes, not RSS: the bound must not depend on the host.  An

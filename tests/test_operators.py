@@ -27,7 +27,7 @@ from springer_rca import (
 )
 from springer_rca import rank_two
 from springer_rca.linalg import RatMat
-from springer_rca.operators import gap_table, zero_operator
+from springer_rca.operators import gap_table
 from test_core import phi_weights
 
 COPRIME_PAIRS = [(n, k) for n in range(1, 6) for k in range(1, 10) if gcd(n, k) == 1]
@@ -584,7 +584,7 @@ def test_stored_operators_have_one_domain_and_shape_rule(pair, D):
     run = Truncation(Params(*pair), D)
     basis = run.basis
     ops = [run.monopole(sign, r) for sign in (1, -1) for r in range(1, pair[0] + 1)]
-    ops += [zero_operator(basis, s) for s in range(-3, 4)]
+    ops += [GradedOperator.assemble(basis, s, lambda label: ()) for s in range(-3, 4)]
     ops.append(identity_operator(basis, Fraction(-3, 2)))
     if pair[0] == 2:
         ops += [build(basis) for build in RANK_TWO_BUILDERS]

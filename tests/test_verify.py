@@ -34,9 +34,9 @@ from springer_rca.linalg import RatMat
 from springer_rca.operators import (
     DressPolynomial,
     GradedOperator,
+    identity_operator,
     minuscule_monopole,
     operator_h,
-    zero_operator,
 )
 from springer_rca.verify import (
     SUITES,
@@ -202,7 +202,7 @@ def test_casimir_witness_matches_dense_reference(degree, delta):
     e, f, h = run.e, run.f, run.h
     casimir = (e @ f + f @ e).scaled(2) + h @ h
     if degree is not None:
-        bump = zero_operator(run.basis)
+        bump = identity_operator(run.basis, 0)
         dim = run.basis.dim(degree)
         bump.blocks[degree] = RatMat(dim, dim, delta)
         casimir = casimir + bump
@@ -800,6 +800,33 @@ def test_failing_cubic_relation_keeps_its_witness(monkeypatch):
     assert len(report.details["relations_checked"]) == 10
 
 
+# generator given 1 at entry (0, 0) of its block 4 -> commutation relation
+# and its witness at (2, 5, 12); expected and actual are the entries of the
+# two products, which differ by the commutator's entry
+COMMUTATION_WITNESSES = {
+    "x": ("[E,X] = 0", {
+        "degree": 4, "row": 0, "col": 0, "source_label": [0, 4],
+        "target_label": [1, 6], "expected": "-2/3", "actual": "1/3",
+    }),
+    "y": ("[F,Y] = 0", {
+        "degree": 6, "row": 0, "col": 0, "source_label": [1, 5],
+        "target_label": [0, 3], "expected": "15/2", "actual": "10",
+    }),
+}
+
+
+@pytest.mark.parametrize(
+    "name,relation,witness",
+    [(name, *row) for name, row in COMMUTATION_WITNESSES.items()],
+)
+def test_commutation_witness_holds_both_products(name, relation, witness):
+    run = Truncation(Params(2, 5), 12)
+    op = getattr(run, name)
+    block = op.blocks[4]
+    op.blocks[4] = block + RatMat(block.nrows, block.ncols, {(0, 0): 1})
+    assert dict(verify._rank_two_relations(run))[relation] == witness
+
+
 def test_lowest_weights_are_read_from_h(monkeypatch):
     # a doubled H doubles every weight the check reads off the kernel of F
     _doubled_h(monkeypatch)
@@ -939,14 +966,53 @@ def test_fault_matrix(nkd, generator, failing):
     n, k, D = nkd
     run = Truncation(Params(n, k), D)
     op = GENERATORS[generator](run)
-    block = op.blocks[4]
-    op.blocks[4] = block + RatMat(block.nrows, block.ncols, {(0, 0): 1})
+    if op.blocks is None:
+        # F = -F_2 stores no block: the run's F itself gains the entry, so
+        # every suite that reads F must read it from the run
+        source = run.basis.stratum(4)[0]
+        target = run.basis.stratum(4 + op.shift)[0]
+
+        def terms(label):
+            return [(target, 1, 1)] if label == source else []
+
+        run.f = op + GradedOperator.assemble(run.basis, op.shift, terms)
+    else:
+        block = op.blocks[4]
+        op.blocks[4] = block + RatMat(block.nrows, block.ncols, {(0, 0): 1})
     reports = {name: run_suite(name, run) for name in applicable_suites(run)}
     assert {
         name: report.witness["degree"]
         for name, report in reports.items()
         if not report.passed
     } == failing
+
+
+# stored rank-two generator -> the closed form that ``appendix-b`` compares
+# it with; F = -F_2 reads the stored F_2
+CLOSED_FORM_OF = {"X": "X", "Y": "Y", "E_2": "E", "F_2": "F", "H": "H"}
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from(sorted(CLOSED_FORM_OF)),
+    st.data(),
+    st.fractions(max_denominator=9).filter(bool),
+)
+def test_drawn_perturbation_is_the_appendix_b_witness(generator, data, delta):
+    # delta added at one drawn entry of a stored generator is the first,
+    # and only, entry where it leaves its closed form
+    run = Truncation(Params(2, 5), 12)
+    op = GENERATORS[generator](run)
+    degree = data.draw(
+        st.sampled_from([d for d in op.domain() if op.blocks[d].nrows])
+    )
+    block = op.blocks[degree]
+    row = data.draw(st.integers(0, block.nrows - 1))
+    col = data.draw(st.integers(0, block.ncols - 1))
+    op.blocks[degree] = block + RatMat(block.nrows, block.ncols, {(row, col): delta})
+    witness = run_suite("appendix-b", run).witness
+    assert witness["operator"] == CLOSED_FORM_OF[generator]
+    assert (witness["degree"], witness["row"], witness["col"]) == (degree, row, col)
 
 
 def test_perturbed_closed_form_exits_1(monkeypatch, capsys):
