@@ -92,7 +92,7 @@ def _build_parser():
 
 def _load_config(path):
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = list(handle)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: config file is not UTF-8 text: {exc}") from None

@@ -88,46 +88,35 @@ def is_admissible(entries, params: Params) -> bool:
 def enumerate_fixed_points(params: Params, d: int) -> list:
     """All admissible cocharacters of degree d, in lexicographic order.
 
-    Slots 0 to n - 2 are filled left to right, each over increasing values,
-    from an explicit stack, and the last slot takes what is left of d.  A
-    slot's range keeps a completion possible: at least the slot before it,
-    at most an equal share of what is left, and large enough that the later
-    slots, each at most slot 0 + k, can use up the rest.  So every prefix
-    visited ends in admissible vectors, and no depth grows with n.
+    The slots are filled left to right, each over increasing values, from an
+    explicit stack.  A slot's range keeps a completion possible: at least the
+    slot before it, at most an equal share of what is left, and large enough
+    that the later slots, each at most slot 0 + k, can use up the rest.  So
+    every prefix visited ends in admissible vectors, the last slot's range is
+    exactly what is left of d, and no depth grows with n.
     """
     if d < 0:
         raise InputError("degree must be nonnegative")
     n, k = params.n, params.k
-    if n == 1:
-        return [(d,)]
-    # slot 0 = a needs n * a <= d <= a + (n - 1) * (a + k)
-    first = range(max(0, -(((n - 1) * k - d) // n)), d // n + 1)
-    if n == 2:
-        return [(a, d - a) for a in first]
     out = []
     prefix = []  # the values of the slots below the top of the stack
-    # per slot on the stack: its values left, and what it and later slots sum to
-    stack = [(iter(first), d)]
+    rest = d  # what the slot on top of the stack and the later slots sum to
+    # slot 0 = a needs n * a <= d <= a + (n - 1) * (a + k)
+    stack = [iter(range(max(0, -(((n - 1) * k - d) // n)), d // n + 1))]
     while stack:
-        values, rest = stack[-1]
-        value = next(values, None)
+        value = next(stack[-1], None)
         if value is None:
             stack.pop()
             if prefix:
-                prefix.pop()
-            continue
-        prefix.append(value)
-        slot = len(prefix)
-        rest -= value
-        lo = max(value, rest - (n - slot - 1) * (prefix[0] + k))
-        values = range(lo, rest // (n - slot) + 1)
-        if slot == n - 2:
-            # the last two slots at once: the second is what is left
-            head = tuple(prefix)
-            out.extend([(*head, v, rest - v) for v in values])
-            prefix.pop()
+                rest += prefix.pop()
+        elif len(prefix) == n - 1:
+            out.append((*prefix, value))
         else:
-            stack.append((iter(values), rest))
+            prefix.append(value)
+            rest -= value
+            slot = len(prefix)
+            lo = max(value, rest - (n - slot - 1) * (prefix[0] + k))
+            stack.append(iter(range(lo, rest // (n - slot) + 1)))
     return out
 
 

@@ -277,7 +277,7 @@ def _verified_nullspace(blocks, dim):
     exact nullspace, and each of its vectors is multiplied back; so does a
     block with fewer rows than columns, whose kernel cannot be zero.
     """
-    stacked = RatMat.vstack(blocks) if len(blocks) > 1 else blocks[0]
+    stacked = RatMat.vstack(blocks)
     if stacked.ncols != dim:
         raise InvariantError(
             f"stacked blocks have {stacked.ncols} columns, basis has {dim}"
@@ -591,7 +591,8 @@ class Suite(NamedTuple):
     """One entry of ``SUITES``, whose preconditions ``run_suite`` applies.
 
     ``rank_two`` says the suite needs n = 2; ``least_degree(params)`` is
-    the least ``max_degree`` at which its check certifies anything;
+    the least ``max_degree`` at which each identity the check lists
+    compares at least one entry, and each count it checks has stabilized;
     ``check(run)`` returns the report and assumes both preconditions, and
     ``reason`` completes the under-truncation message of a suite whose
     least degree is positive.
@@ -613,7 +614,7 @@ SUITES = {
         "the Weyl relation is checked",
     ),
     "sl2": Suite(
-        True, lambda params: 1, lambda run: _check_sl2_and_casimir(run),
+        True, lambda params: 3, lambda run: _check_sl2_and_casimir(run),
         "the rank-two relations are checked",
     ),
     "singular": Suite(

@@ -270,7 +270,7 @@ def test_verify_rank_two_at_k_1_passes(capsys, suite):
 
 @pytest.mark.parametrize(
     "suite,k,max_degree,required",
-    [("appendix-b", 7, 3, 8), ("appendix-b", 3, 1, 4), ("sl2", 3, 0, 1)],
+    [("appendix-b", 7, 3, 8), ("appendix-b", 3, 1, 4), ("sl2", 3, 2, 3)],
 )
 def test_verify_low_truncation_exits_4(capsys, suite, k, max_degree, required):
     code, out, err = run_cli(
@@ -488,6 +488,20 @@ def test_config_file_bad_key(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fixed-points", "--config", str(config))
     assert code == 2
     assert "nope" in err
+
+
+def test_config_file_with_byte_order_mark(tmp_path, capsys):
+    # Windows editors write UTF-8 with a leading BOM; it is not part of a key
+    text = "n = 2\nk = 3\nmax_degree = 6\nsuite = weyl\n"
+    reports = []
+    for name, encoding in (("plain.cfg", "utf-8"), ("bom.cfg", "utf-8-sig")):
+        config = tmp_path / name
+        config.write_text(text, encoding=encoding)
+        code, out, err = run_cli(capsys, "verify", "--config", str(config))
+        assert code == 0, err
+        reports.append(out)
+    assert (tmp_path / "bom.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert reports[0] == reports[1]
 
 
 def test_verify_csv(capsys):

@@ -3,7 +3,7 @@
 import copy
 import pickle
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
 import pytest
@@ -86,6 +86,23 @@ def test_enumerate_matches_brute_force(n, k):
         assert enumerate_fixed_points(p, d) == brute_force_points(p, d)
 
 
+@settings(deadline=None, max_examples=150)
+@given(
+    st.tuples(st.integers(1, 6), st.integers(1, 11)).filter(lambda nk: gcd(*nk) == 1),
+    st.integers(0, 12),
+)
+def test_enumerate_matches_nondecreasing_tuples(nk, d):
+    # every nondecreasing tuple of n values in 0..d, kept if it sums to d
+    # and its spread is at most k
+    n, k = nk
+    expected = sorted(
+        entries
+        for entries in combinations_with_replacement(range(d + 1), n)
+        if sum(entries) == d and entries[-1] - entries[0] <= k
+    )
+    assert enumerate_fixed_points(Params(n, k), d) == expected
+
+
 def test_enumeration_is_deterministic():
     p = Params(3, 5)
     assert enumerate_fixed_points(p, 6) == enumerate_fixed_points(p, 6)
@@ -101,11 +118,11 @@ def test_graded_basis_examples():
     assert b34.stratum(2) == ((0, 0, 2), (0, 1, 1))
 
 
-@pytest.mark.parametrize("n,k", [(2, 3), (3, 4), (4, 5)])
+@pytest.mark.parametrize("n,k", [(2, 3), (3, 4), (4, 5), (8, 9), (6, 11), (2, 21)])
 def test_stratum_counts_match_euler_series(n, k):
     p = Params(n, k)
-    basis = build_graded_basis(p, 12)
-    series = euler_series(p, 12)
+    basis = build_graded_basis(p, 40)
+    series = euler_series(p, 40)
     for d in basis.degrees():
         assert basis.dim(d) == series[d]
 

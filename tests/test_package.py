@@ -1,12 +1,14 @@
 """Package-wide contracts: interpreter flags change nothing, a refused
-argument raises InputError, no search recurses per step, the README runs,
-and the traced benchmark sees every layer it needs."""
+argument raises InputError, no search recurses per step, the README's quick
+tour and shell commands run, and the traced benchmark sees every layer it
+needs."""
 
 import ast
 import doctest
 import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -20,6 +22,7 @@ from springer_rca import (
     euler_series,
     rank_two,
 )
+from springer_rca.cli import main
 from springer_rca.linalg import RatMat
 from springer_rca.semigroup import enumerate_gap_sets
 
@@ -166,6 +169,23 @@ def test_readme_examples_hold():
     )
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def test_readme_commands_exit_0(capsys):
+    # every springer-rca line of README's shell blocks, run in process
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        blocks = handle.read().split("```")[1::2]
+    commands = [
+        shlex.split(line)[1:]
+        for block in blocks
+        if block.startswith("sh\n")
+        for line in block.splitlines()
+        if line.startswith("springer-rca ")
+    ]
+    assert len(commands) == 6
+    for argv in commands:
+        code = main(argv)
+        assert code == 0, (argv, capsys.readouterr().err)
 
 
 # two runs that between them reach every span any benchmark workload requires

@@ -544,7 +544,7 @@ def test_suites_carry_their_least_degree():
         least = {name: suite.least_degree(params) for name, suite in SUITES.items()}
         assert least == {
             "weyl": 2,
-            "sl2": 1,
+            "sl2": 3,
             "singular": 0,
             "kernel-y": stabilization_degree(params),
             "appendix-b": params.k + 1,
@@ -564,6 +564,31 @@ def test_check_guards_read_the_least_degree(n, k):
                 run_suite(name, Truncation(params, least - 1))
             assert info.value.required_degree == least, name
         assert run_suite(name, Truncation(params, least)).passed, name
+
+
+# (suite, n, k) for each suite that compares identities, run at its least degree
+LEAST_DEGREE_CASES = [
+    ("weyl", n, k) for n in range(1, 7) for k in range(1, 10) if gcd(n, k) == 1
+] + [(suite, 2, k) for suite in ("sl2", "appendix-b") for k in range(1, 22, 2)]
+
+
+@pytest.mark.parametrize("suite,n,k", LEAST_DEGREE_CASES)
+def test_every_identity_compares_an_entry_at_the_least_degree(monkeypatch, suite, n, k):
+    # a comparison whose every block lacks a row or a column certifies nothing
+    compare = verify.first_mismatch
+    covered = []
+
+    def recording(actual, expected, degrees=None):
+        if degrees is None:
+            degrees = range(min(actual.max_source, expected.max_source) + 1)
+        covered.append(any(min(actual.block(d).shape) > 0 for d in degrees))
+        return compare(actual, expected, degrees)
+
+    monkeypatch.setattr(verify, "first_mismatch", recording)
+    params = Params(n, k)
+    report = run_suite(suite, Truncation(params, SUITES[suite].least_degree(params)))
+    assert report.passed
+    assert covered and all(covered), covered
 
 
 @settings(deadline=None, max_examples=60)
